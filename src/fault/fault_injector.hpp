@@ -122,6 +122,12 @@ class FaultInjector {
   /// complement, not to a transition.
   std::uint64_t membership_epoch(sim::Time t) const noexcept;
 
+  /// The sorted instants at which membership transitions fire (all > 0):
+  /// epoch e >= 1 begins at transitions[e - 1].  is_down is constant for
+  /// every rank between two consecutive instants, so one member list per
+  /// epoch describes every view.
+  const std::vector<sim::Time>& membership_transitions() const noexcept { return transitions_; }
+
   /// Time from which the a<->b link is severed (crashlink), or
   /// sim::kTimeInfinity if that link never goes down.  Symmetric.
   sim::Time link_down_time(int a, int b) const noexcept;

@@ -174,7 +174,18 @@ Recording parse(const std::string& bytes) {
                              std::to_string(kMinFormatVersion) + ".." +
                              std::to_string(kFormatVersion) + ")");
   }
+  // Bound every count by the bytes that remain before allocating for it, so
+  // a hostile header fails with a typed error instead of a huge allocation.
+  // A world is at least its fixed header (seed, nranks, fault_seed, three
+  // string lengths) plus the event-count trailer; a rank is at least its
+  // 8-byte event count.
+  constexpr std::size_t kMinWorldBytes = 8 + 4 + 8 + 3 * 4 + 8;
   const std::uint32_t nworlds = c.u32();
+  if (nworlds > (bytes.size() - c.pos) / kMinWorldBytes) {
+    throw std::runtime_error("recording: implausible world count " + std::to_string(nworlds) +
+                             " for " + std::to_string(bytes.size() - c.pos) +
+                             " remaining bytes");
+  }
   Recording rec;
   rec.worlds.reserve(nworlds);
   for (std::uint32_t w = 0; w < nworlds; ++w) {
@@ -189,6 +200,12 @@ Recording parse(const std::string& bytes) {
     info.machine = c.str();
     info.fault_plan = c.str();
     info.label = c.str();
+    if (info.nranks > 0 &&
+        static_cast<std::size_t>(info.nranks) * 8 + 8 > bytes.size() - c.pos) {
+      throw std::runtime_error("recording: implausible rank count " +
+                               std::to_string(info.nranks) + " for " +
+                               std::to_string(bytes.size() - c.pos) + " remaining bytes");
+    }
     RecordedWorld world(std::move(info));
     for (auto& rank_events : world.ranks) {
       const std::uint64_t nevents = c.u64();

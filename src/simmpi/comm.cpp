@@ -24,34 +24,34 @@ constexpr std::uint64_t kWorldContext = 0x57f2'11d3'9ab1'4e01ULL;
 
 Comm::Comm(World* world, std::shared_ptr<const std::vector<int>> members, int my_index,
            std::uint64_t context)
-    : world_(world), members_(std::move(members)), my_index_(my_index), context_(context) {
-  if (!world_ || !members_ || my_index_ < 0 ||
-      my_index_ >= static_cast<int>(members_->size())) {
+    : world_(world),
+      members_(std::move(members)),
+      size_(members_ ? static_cast<int>(members_->size()) : world ? world->size() : 0),
+      my_index_(my_index),
+      context_(context) {
+  if (!world_ || my_index_ < 0 || my_index_ >= size_) {
     throw std::invalid_argument("Comm: malformed communicator");
   }
 }
 
 Comm Comm::world_comm(World& world, int rank) {
-  auto members = std::make_shared<std::vector<int>>(static_cast<std::size_t>(world.size()));
-  for (int r = 0; r < world.size(); ++r) (*members)[static_cast<std::size_t>(r)] = r;
-  return Comm(&world, std::move(members), rank, kWorldContext);
+  return Comm(&world, nullptr, rank, kWorldContext);
 }
 
 Comm Comm::view_comm(World& world, int rank, sim::Time at) {
   // Membership is a pure function of the fault plan, so every up rank that
-  // evaluates the same `at` builds the same member list and context without
+  // evaluates the same `at` gets the same member list and context without
   // exchanging a single message — the property that lets a restarted rank
   // join a communicator its peers constructed while it was away.
-  const fault::FaultInjector* fault = world.fault_injector();
-  auto members = std::make_shared<std::vector<int>>();
-  members->reserve(static_cast<std::size_t>(world.size()));
-  int my_index = -1;
-  for (int r = 0; r < world.size(); ++r) {
-    if (fault && fault->is_down(r, at)) continue;
-    if (r == rank) my_index = static_cast<int>(members->size());
-    members->push_back(r);
-  }
   const std::uint64_t epoch = world.membership_epoch(at);
+  std::shared_ptr<const std::vector<int>> members = world.view_members(epoch);
+  int my_index = rank;
+  if (members) {
+    const auto it = std::lower_bound(members->begin(), members->end(), rank);
+    my_index = it != members->end() && *it == rank
+                   ? static_cast<int>(it - members->begin())
+                   : -1;
+  }
   // Epoch 0 (no transition fired yet) must reproduce the world context
   // exactly so armed-but-unfired churn plans stay bit-identical.
   const std::uint64_t context =

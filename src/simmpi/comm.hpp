@@ -4,7 +4,12 @@
 // tagged point-to-point, split (including MPI_COMM_TYPE_SHARED-style node and
 // socket splits), and a per-communicator collective sequence number that
 // keeps concurrent collectives on different communicators from cross-talking.
-// Comm objects are cheap per-rank values; members are shared immutably.
+// Comm objects are cheap per-rank values.  The member list maps communicator
+// ranks to world ranks; a null list means the identity (world_rank(i) == i),
+// so the world communicator and every all-up view carry no list at all.
+// A split communicator's list is built once by each member and shared by
+// that member's copies; view communicators share the World's per-epoch list
+// across all ranks (World::view_members).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +32,8 @@ class Comm {
   /// Invalid communicator (MPI_COMM_NULL analogue).
   Comm() = default;
 
+  /// `members` maps communicator ranks to world ranks; null is the identity
+  /// over the whole world.
   Comm(World* world, std::shared_ptr<const std::vector<int>> members, int my_index,
        std::uint64_t context);
 
@@ -43,9 +50,14 @@ class Comm {
 
   bool valid() const noexcept { return world_ != nullptr; }
   int rank() const noexcept { return my_index_; }
-  int size() const noexcept { return members_ ? static_cast<int>(members_->size()) : 0; }
-  int world_rank(int comm_rank) const { return (*members_)[static_cast<std::size_t>(comm_rank)]; }
+  int size() const noexcept { return size_; }
+  int world_rank(int comm_rank) const {
+    return members_ ? (*members_)[static_cast<std::size_t>(comm_rank)] : comm_rank;
+  }
   int my_world_rank() const { return world_rank(my_index_); }
+  /// The shared member list, or null when this communicator is the identity
+  /// over the whole world.
+  const std::vector<int>* members() const noexcept { return members_.get(); }
   World& world() const noexcept { return *world_; }
   /// The simulation advancing this rank's shard — rank code must read time
   /// through here (or RankCtx::sim()), never through world().sim().
@@ -109,7 +121,8 @@ class Comm {
   sim::Task<std::vector<double>> split_exchange_ft(std::vector<double> mine);
 
   World* world_ = nullptr;
-  std::shared_ptr<const std::vector<int>> members_;
+  std::shared_ptr<const std::vector<int>> members_;  // null: identity
+  int size_ = 0;
   int my_index_ = -1;
   std::uint64_t context_ = 0;
   std::uint64_t coll_seq_ = 0;

@@ -32,9 +32,7 @@ RankCtx::RankCtx(World& world, int rank)
 
 RankCtx::~RankCtx() = default;
 
-void RankCtx::reset_comm() {
-  comm_world_ = std::make_unique<Comm>(Comm::world_comm(*world_, rank_));
-}
+void RankCtx::reset_comm() { *comm_world_ = Comm::world_comm(*world_, rank_); }
 
 vclock::ClockPtr RankCtx::base_clock() const { return world_->base_clock(rank_); }
 
@@ -160,8 +158,21 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
     if (fault_->crash_active()) {
       detector_ = std::make_unique<FailureDetector>(*fault_, network_, size());
     }
-    if (seq_tracking_) {
-      send_seq_.assign(static_cast<std::size_t>(size()) * static_cast<std::size_t>(size()), 0);
+    if (seq_tracking_) send_seq_.resize(static_cast<std::size_t>(size()));
+    if (fault_->crash_active()) {
+      // One member list per membership epoch, shared by every view on every
+      // shard; is_down cannot change inside an epoch, so its start instant
+      // stands for all of it.
+      const std::vector<sim::Time>& transitions = fault_->membership_transitions();
+      view_members_.resize(transitions.size() + 1);
+      for (std::size_t e = 0; e < view_members_.size(); ++e) {
+        const sim::Time at = e == 0 ? 0.0 : transitions[e - 1];
+        auto up = std::make_shared<std::vector<int>>();
+        for (int r = 0; r < size(); ++r) {
+          if (!fault_->is_down(r, at)) up->push_back(r);
+        }
+        if (static_cast<int>(up->size()) < size()) view_members_[e] = std::move(up);
+      }
     }
     for (const fault::ClockFault& cf : fault_->clock_faults()) {
       // A clock fault targets the rank's time source; co-located ranks that
@@ -486,8 +497,7 @@ void World::dispatch_message(int src, int dst, std::vector<double> data, std::in
   msg.sent_at = ready;
   if (fault_ && fault_->churn_active()) msg.view = fault_->membership_epoch(ready);
   if (seq_tracking_) {
-    msg.seq = send_seq_[static_cast<std::size_t>(src) * static_cast<std::size_t>(size()) +
-                        static_cast<std::size_t>(dst)]++;
+    msg.seq = send_seq_[static_cast<std::size_t>(src)][dst]++;
   }
   DeliveryFaults df;
   if (node_of_rank_[static_cast<std::size_t>(src)] != node_of_rank_[static_cast<std::size_t>(dst)]) {
@@ -563,8 +573,7 @@ void World::deliver_now(int dst, Message msg) {
   // the MPI layer keeps its per-channel FIFO guarantee under fault plans
   // that can reorder deliveries (tested in tests/fault/).
   Mailbox& mb = mailboxes_[static_cast<std::size_t>(dst)];
-  if (mb.expected_seq.empty()) mb.expected_seq.assign(static_cast<std::size_t>(size()), 0);
-  std::uint64_t& expected = mb.expected_seq[static_cast<std::size_t>(msg.src)];
+  std::uint64_t& expected = mb.expected_seq[msg.src];
   if (msg.seq < expected) {
     if (trace::Counter* m = my_metrics().dup_absorbed) m->inc();
     return;

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -161,6 +162,15 @@ class World {
     return fault_ ? fault_->membership_epoch(now) : 0;
   }
 
+  /// World ranks that are up throughout membership epoch `epoch`, sorted;
+  /// null when every rank is up (the view is then the identity).  Built once
+  /// at construction from the fault plan and read-only afterwards, so every
+  /// rank on every shard shares the same list (Comm::view_comm).
+  std::shared_ptr<const std::vector<int>> view_members(std::uint64_t epoch) const {
+    return epoch < view_members_.size() ? view_members_[static_cast<std::size_t>(epoch)]
+                                        : nullptr;
+  }
+
   /// Shared hardware clock of the rank's time source.
   vclock::ClockPtr base_clock(int rank) const;
 
@@ -252,9 +262,9 @@ class World {
     std::deque<Message> unexpected;
     std::vector<RecvRequest> posted;  // irecvs (and blocking recvs) in post order
     // Channel-repair state, used only while network faults are active: next
-    // expected sequence number per source rank (sized lazily) and messages
-    // held back for in-order (FIFO) release.
-    std::vector<std::uint64_t> expected_seq;
+    // expected sequence number per source rank that has sent here, and
+    // messages held back for in-order (FIFO) release.
+    std::unordered_map<int, std::uint64_t> expected_seq;
     std::map<std::pair<int, std::uint64_t>, Message> held;
   };
   struct BurstState;
@@ -364,8 +374,12 @@ class World {
   NetworkModel network_;
   std::unique_ptr<fault::FaultInjector> fault_;
   std::unique_ptr<FailureDetector> detector_;  // only under crash/crashlink plans
-  bool seq_tracking_ = false;          // assign/enforce channel sequence numbers
-  std::vector<std::uint64_t> send_seq_;  // per (src, dst), when seq_tracking_
+  bool seq_tracking_ = false;  // assign/enforce channel sequence numbers
+  // Per sender: next sequence number per destination it has sent to (when
+  // seq_tracking_); entry src is touched only on src's shard.
+  std::vector<std::unordered_map<int, std::uint64_t>> send_seq_;
+  // Per membership epoch: the up ranks, null when all are up (view_members).
+  std::vector<std::shared_ptr<const std::vector<int>>> view_members_;
 
   // Observability: the parent tracer/registry are whatever was installed on
   // the constructing thread.  When sharded, each shard gets a private tracer

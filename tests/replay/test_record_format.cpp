@@ -3,6 +3,8 @@
 // (docs/record-replay.md has the byte-level spec).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -117,6 +119,59 @@ TEST(Format, RejectsTrailingGarbage) {
   std::string bytes = serialize(make_recorder());
   bytes += '\0';
   EXPECT_THROW(parse(bytes), std::runtime_error);
+}
+
+// Little-endian field builders for hand-made (hostile) recordings.
+void append_u32(std::string& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+}
+void append_u64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+}
+std::string header(std::uint32_t nworlds) {
+  std::string out = "HCSR";
+  append_u32(out, kFormatVersion);
+  append_u32(out, nworlds);
+  return out;
+}
+
+// Expects parse() to throw a runtime_error whose message names `field`.
+void expect_rejected_naming(const std::string& bytes, const std::string& field) {
+  try {
+    parse(bytes);
+    ADD_FAILURE() << "parse accepted a hostile recording";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+// 12 bytes claiming 2^32 - 1 worlds: rejected before reserving room for them.
+TEST(Format, RejectsWorldCountBeyondRemainingBytes) {
+  const std::string bytes = header(0xffffffffU);
+  ASSERT_EQ(bytes.size(), 12u);
+  expect_rejected_naming(bytes, "world count");
+}
+
+// One world claiming 2^24 ranks in 52 bytes (header + event-count trailer):
+// rejected before one vector per rank exists.
+TEST(Format, RejectsRankCountBeyondRemainingBytes) {
+  std::string bytes = header(1);
+  append_u64(bytes, 42);        // seed
+  append_u32(bytes, 1U << 24);  // nranks
+  append_u64(bytes, 9);         // fault_seed
+  for (int s = 0; s < 3; ++s) append_u32(bytes, 0);  // machine, fault plan, label
+  ASSERT_EQ(bytes.size(), 44u);
+  EXPECT_THROW(parse(bytes), std::runtime_error);
+  append_u64(bytes, 0);  // trailer
+  expect_rejected_naming(bytes, "rank count");
+  // The same header with enough bytes for every rank's count parses.
+  std::string small = header(1);
+  append_u64(small, 42);
+  append_u32(small, 2);
+  append_u64(small, 9);
+  for (int s = 0; s < 3; ++s) append_u32(small, 0);
+  for (int part = 0; part < 3; ++part) append_u64(small, 0);  // two ranks + trailer
+  EXPECT_EQ(parse(small).worlds.at(0).ranks.size(), 2u);
 }
 
 TEST(Recorder, AbsorbMovesWorldsInOrder) {
