@@ -67,13 +67,13 @@ std::optional<RankDivergence> diff_rank(int rank, const std::vector<Event>& a,
 
 std::string describe_event(const Event& ev) {
   std::ostringstream os;
-  os.precision(17);
   os << to_string(ev.kind) << " peer=" << ev.peer << " tag=" << ev.tag;
   if (ev.kind == EventKind::kSend || ev.kind == EventKind::kRecv) os << " bytes=" << ev.bytes;
   if (ev.kind == EventKind::kBurst) {
     os << " role=" << ((ev.flags & 1U) != 0 ? "client" : "reference");
   }
-  os << " time=" << ev.time << " values=" << ev.values.size()
+  if (ev.kind == EventKind::kMembership) os << ((ev.flags & 1U) != 0 ? " up" : " down");
+  os << " time=" << format_time(ev.time) << " values=" << ev.values.size()
      << " digest=" << hex64(ev.digest);
   return os.str();
 }

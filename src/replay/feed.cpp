@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "replay/bisect.hpp"
+
 namespace hcs::replay {
 
 ReplayFeed::ReplayFeed(const RecordedWorld& world, int rank)
@@ -14,30 +16,46 @@ ReplayFeed::ReplayFeed(const RecordedWorld& world, int rank)
   events_ = &world.ranks[static_cast<std::size_t>(rank)];
 }
 
-const Event& ReplayFeed::take() {
-  if (cursor_ >= events_->size()) {
-    diverge("recorded event log exhausted (the replayed program performed more transport "
-            "operations than the recording)");
-  }
-  return (*events_)[cursor_++];
+namespace {
+
+std::string describe(const Expected& want) {
+  std::string out = std::string("replayed ") + to_string(want.kind) +
+                    (want.or_timeout ? " (or timeout)" : "") + " peer=" +
+                    std::to_string(want.peer) + " tag=" + std::to_string(want.tag);
+  if (want.kind == EventKind::kSend) out += " bytes=" + std::to_string(want.bytes);
+  if (want.kind == EventKind::kBurst) out += want.role ? " role=client" : " role=reference";
+  if (want.kind == EventKind::kMembership) out += want.role ? " up" : " down";
+  if (want.at) out += " time=" + format_time(*want.at);
+  return out;
 }
 
-const Event& ReplayFeed::expect(EventKind kind, int peer) {
+}  // namespace
+
+const Event& ReplayFeed::expect(const Expected& want) {
   const Event* ev = peek();
-  if (ev == nullptr) {
-    diverge(std::string("recorded event log exhausted while expecting ") + to_string(kind));
+  if (ev == nullptr) diverge("recorded event log exhausted at " + describe(want));
+  const bool kind_ok =
+      ev->kind == want.kind || (want.or_timeout && ev->kind == EventKind::kRecvTimeout);
+  if (!kind_ok || ev->peer != want.peer || ev->tag != want.tag ||
+      ev->flags != static_cast<std::uint8_t>(want.role) ||
+      (want.kind == EventKind::kSend && ev->bytes != want.bytes)) {
+    diverge(describe(want) + " does not match recorded " + describe_event(*ev));
   }
-  if (ev->kind != kind) {
-    diverge(std::string("expected ") + to_string(kind) + " but the recording has " +
-            to_string(ev->kind) + " (peer " + std::to_string(ev->peer) + ", sim-time " +
-            std::to_string(ev->time) + ")");
+  if (want.at && ev->time != *want.at) {
+    diverge(describe(want) + " but the recording has time=" + format_time(ev->time));
   }
-  if (peer >= 0 && ev->peer != peer) {
-    diverge(std::string(to_string(kind)) + " peer mismatch: replay targets rank " +
-            std::to_string(peer) + ", recording has rank " + std::to_string(ev->peer));
+  if (want.payload != nullptr && ev->digest != payload_digest(*want.payload)) {
+    diverge(describe(want) + ": payload digest differs from the recording");
   }
   ++cursor_;
   return *ev;
+}
+
+const Event* ReplayFeed::take_departure() {
+  const Event* ev = peek();
+  if (ev == nullptr || !is_departure(*ev)) return nullptr;
+  ++cursor_;
+  return ev;
 }
 
 }  // namespace hcs::replay

@@ -4,14 +4,16 @@
 // transport hooks consume it instead of simulating the other ranks: receive
 // completions and ping-pong bursts are answered straight from the log
 // (resumed at the recorded absolute sim-time), sends and clock reads are
-// verified against it.  Any mismatch between what the replayed program does
-// and what the log says throws ReplayDivergence with enough detail to name
-// the first diverging event.
+// verified against it.  Every hook goes through one matcher, expect(); any
+// mismatch between what the replayed program does and what the log says
+// throws ReplayDivergence naming the first diverging event and both sides.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "replay/record.hpp"
 
@@ -36,6 +38,21 @@ class ReplayDivergence : public std::runtime_error {
   std::size_t index_;
 };
 
+/// One replayed operation as the rank itself determines it, before the
+/// recording answers: what ReplayFeed::expect checks the next event against.
+struct Expected {
+  EventKind kind = EventKind::kSend;
+  int peer = -1;            // the other rank; -1 = none (clock read, membership)
+  std::int64_t tag = 0;
+  bool role = false;        // kBurst: the caller is the client; kMembership: up
+  bool or_timeout = false;  // a bounded receive: a kRecvTimeout answers it too
+  // Sends and clock reads happen at the rank's own sim-time, so it is checked
+  // too; a blocking operation resumes at the recorded time instead.
+  std::optional<double> at{};
+  std::int64_t bytes = 0;                        // kSend
+  const std::vector<double>* payload = nullptr;  // kSend
+};
+
 class ReplayFeed {
  public:
   /// Serves `rank`'s events of `world`; the RecordedWorld must outlive the
@@ -50,13 +67,17 @@ class ReplayFeed {
     return cursor_ < events_->size() ? &(*events_)[cursor_] : nullptr;
   }
 
-  /// Consumes and returns the next event; throws ReplayDivergence when the
-  /// log is exhausted.
-  const Event& take();
+  /// Consumes the next event after checking it matches `want` (kind, peer,
+  /// tag, role; time, size and payload where `want` carries them); throws
+  /// ReplayDivergence naming both sides, before consuming, on mismatch.
+  const Event& expect(const Expected& want);
 
-  /// Consumes the next event after checking it has `kind` (and `peer`, when
-  /// `peer` >= 0); throws ReplayDivergence naming both sides on mismatch.
-  const Event& expect(EventKind kind, int peer);
+  /// Consumes a recorded departure marker at the head, if there is one: the
+  /// rank died there.  Returns it, or nullptr.
+  const Event* take_departure();
+
+  /// The event consumed last (requires consumed() > 0).
+  const Event& last() const { return (*events_)[cursor_ - 1]; }
 
   std::size_t consumed() const noexcept { return cursor_; }
   std::size_t remaining() const noexcept { return events_->size() - cursor_; }

@@ -1,5 +1,6 @@
 #include "replay/record.hpp"
 
+#include <cstdio>
 #include <cstring>
 
 namespace hcs::replay {
@@ -29,22 +30,48 @@ std::uint64_t payload_digest(const std::vector<double>& values) {
   return h;
 }
 
-std::vector<double> encode_burst(const simmpi::BurstResult& result) {
-  std::vector<double> values;
-  values.reserve(4 + 3 * result.samples.size());
-  values.push_back(static_cast<double>(result.requested));
-  values.push_back(static_cast<double>(result.lost));
-  values.push_back(static_cast<double>(result.retries));
-  values.push_back(static_cast<double>(result.samples.size()));
-  for (const simmpi::PingSample& s : result.samples) {
-    values.push_back(s.client_send);
-    values.push_back(s.ref_reply);
-    values.push_back(s.client_recv);
-  }
-  return values;
+Event encode_send(int dst, std::int64_t tag, std::int64_t bytes, double time,
+                  const std::vector<double>& data) {
+  return {.kind = EventKind::kSend, .peer = dst, .tag = tag, .bytes = bytes, .time = time,
+          .digest = payload_digest(data)};
 }
 
-simmpi::BurstResult decode_burst(const std::vector<double>& values) {
+Event encode_recv(const simmpi::Message& msg, double time) {
+  return {.kind = EventKind::kRecv, .peer = msg.src, .tag = msg.tag, .bytes = msg.bytes,
+          .time = time, .aux0 = msg.sent_at, .aux1 = msg.arrived_at,
+          .digest = payload_digest(msg.data), .values = msg.data};
+}
+
+simmpi::Message decode_recv(const Event& ev) {
+  return {.src = ev.peer, .tag = ev.tag, .data = ev.values, .bytes = ev.bytes,
+          .sent_at = ev.aux0, .arrived_at = ev.aux1};
+}
+
+Event encode_recv_timeout(int src, std::int64_t tag, double time) {
+  return {.kind = EventKind::kRecvTimeout, .peer = src, .tag = tag, .time = time};
+}
+
+// values: requested, lost, retries, nsamples, then one (client_send,
+// ref_reply, client_recv) triple per sample.
+Event encode_burst(const simmpi::BurstResult& result, int partner, bool client, double time) {
+  Event ev{.kind = EventKind::kBurst, .flags = static_cast<std::uint8_t>(client), .peer = partner,
+           .time = time};
+  ev.values.reserve(4 + 3 * result.samples.size());
+  ev.values.push_back(static_cast<double>(result.requested));
+  ev.values.push_back(static_cast<double>(result.lost));
+  ev.values.push_back(static_cast<double>(result.retries));
+  ev.values.push_back(static_cast<double>(result.samples.size()));
+  for (const simmpi::PingSample& s : result.samples) {
+    ev.values.push_back(s.client_send);
+    ev.values.push_back(s.ref_reply);
+    ev.values.push_back(s.client_recv);
+  }
+  ev.digest = payload_digest(ev.values);
+  return ev;
+}
+
+simmpi::BurstResult decode_burst(const Event& ev) {
+  const std::vector<double>& values = ev.values;
   simmpi::BurstResult result;
   if (values.size() < 4) return result;
   result.requested = static_cast<int>(values[0]);
@@ -60,6 +87,29 @@ simmpi::BurstResult decode_burst(const std::vector<double>& values) {
     result.samples.push_back(s);
   }
   return result;
+}
+
+Event encode_clock_read(double value, double time) {
+  Event ev{.kind = EventKind::kClockRead, .time = time, .values = {value}};
+  ev.digest = payload_digest(ev.values);
+  return ev;
+}
+
+double decode_clock_read(const Event& ev) { return ev.values.empty() ? 0.0 : ev.values[0]; }
+
+// flags 1 = up (a restart), 0 = down; aux0 = the incarnation index.  No
+// digest: membership markers carry no payload.
+Event encode_membership(bool up, int incarnation, double time) {
+  return {.kind = EventKind::kMembership, .flags = static_cast<std::uint8_t>(up), .time = time,
+          .aux0 = static_cast<double>(incarnation)};
+}
+
+bool is_departure(const Event& ev) { return ev.kind == EventKind::kMembership && ev.flags == 0; }
+
+std::string format_time(double t) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", t);
+  return buf;
 }
 
 RecordedWorld& Recorder::begin_world(WorldInfo info) {

@@ -3,10 +3,11 @@
 // A Recorder captures, per World and per rank, the complete sequence of
 // transport-level observations a rank program makes: message sends (payload
 // digest only), receive completions (full payload, so a replay can feed
-// them back), receive timeouts, synthesized ping-pong bursts, and direct
-// clock reads.  Together these are exactly the inputs a rank's control flow
-// depends on — replaying them reproduces that rank bit-for-bit without
-// simulating the rest of the World (replay/feed.hpp).
+// them back), receive timeouts, synthesized ping-pong bursts, direct clock
+// reads and, under churn, the rank's own departures and restarts.  Together
+// these are exactly the inputs a rank's control flow depends on — replaying
+// them reproduces that rank bit-for-bit without simulating the rest of the
+// World (replay/feed.hpp).
 //
 // Determinism contract: events are appended only from the shard thread that
 // owns the rank (each rank has a private buffer sized at World creation, so
@@ -57,7 +58,7 @@ struct Event {
   double aux0 = 0.0;            // kRecv: message sent_at
   double aux1 = 0.0;            // kRecv: message arrived_at
   std::uint64_t digest = 0;     // FNV-1a over the payload double bits
-  std::vector<double> values;   // payload / encoded burst / clock reading
+  std::vector<double> values{};  // payload / encoded burst / clock reading
 
   bool operator==(const Event& other) const = default;
 };
@@ -67,10 +68,24 @@ struct Event {
 /// is what a bit-exactness oracle wants).
 std::uint64_t payload_digest(const std::vector<double>& values);
 
-/// Burst results travel inside Event::values; both directions live here so
-/// the recorder and the replay feed can never disagree on the layout.
-std::vector<double> encode_burst(const simmpi::BurstResult& result);
-simmpi::BurstResult decode_burst(const std::vector<double>& values);
+/// Every event kind's layout, both directions side by side, so the recorder
+/// (simmpi::World's record sites) and the replay feed can never disagree on
+/// it.  `time` is always the Event::time of the observation.
+Event encode_send(int dst, std::int64_t tag, std::int64_t bytes, double time,
+                  const std::vector<double>& data);
+Event encode_recv(const simmpi::Message& msg, double time);
+simmpi::Message decode_recv(const Event& ev);
+Event encode_recv_timeout(int src, std::int64_t tag, double time);
+Event encode_burst(const simmpi::BurstResult& result, int partner, bool client, double time);
+simmpi::BurstResult decode_burst(const Event& ev);
+Event encode_clock_read(double value, double time);
+double decode_clock_read(const Event& ev);
+Event encode_membership(bool up, int incarnation, double time);
+bool is_departure(const Event& ev);  // a membership "down" marker
+
+/// %.17g: round-trips every double, so two times that differ in the last ulp
+/// never print alike.  Every divergence message formats times with it.
+std::string format_time(double t);
 
 /// Identity of one recorded World, written into the file header so a
 /// recording is self-describing (the incident suite rebuilds the World from

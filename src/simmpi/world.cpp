@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <thread>
 
@@ -17,6 +15,31 @@ namespace hcs::simmpi {
 
 namespace {
 std::atomic<int> g_default_shards{1};
+
+// NOTE: awaiters are co_await'ed as named locals, never as brace-init
+// temporaries: GCC 12 destroys such temporaries twice at the resume point
+// when they have non-trivially-destructible members (sibling of the "array
+// used as initializer" bug; see util/vec.hpp).
+
+// Resumes at absolute sim-time `when`.  schedule_at clamps past times to
+// "now", so recorded absolute times resume exactly — a relative
+// delay(t - now) could drift by an ulp.
+struct ResumeAt {
+  sim::Simulation* sim;
+  sim::Time when;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { sim->schedule_at(when, h); }
+  void await_resume() const noexcept {}
+};
+
+// Parks the suspended coroutine's handle in `slot` for whoever resumes it
+// (a burst's first arriver waiting for its partner).
+struct ParkIn {
+  std::coroutine_handle<>* slot;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { *slot = h; }
+  void await_resume() const noexcept {}
+};
 }  // namespace
 
 void set_default_shards(int shards) noexcept {
@@ -236,20 +259,12 @@ sim::Task<void> run_rank_guarded(World::RankFn fn, RankCtx& ctx) {
 }  // namespace
 
 void World::launch(const RankFn& fn) {
-  if (replay_feed_) {
-    // Single-rank replay: only the target rank runs; every peer interaction
-    // is answered from the recorded log instead of a simulated partner.
-    if (fault_ && fault_->has_churn(replay_rank_)) {
-      sim_of(replay_rank_).spawn(churn_supervisor(fn, ctx(replay_rank_)));
-    } else if (detector_ != nullptr) {
-      sim_of(replay_rank_).spawn(run_rank_guarded(fn, ctx(replay_rank_)));
-    } else {
-      sim_of(replay_rank_).spawn(fn(ctx(replay_rank_)));
-    }
-    return;
-  }
+  // Single-rank replay runs only the target rank; every peer interaction is
+  // answered from the recorded log instead of a simulated partner.
+  const int first = replay_feed_ ? replay_rank_ : 0;
+  const int end = replay_feed_ ? replay_rank_ + 1 : size();
   const bool guard = detector_ != nullptr;
-  for (int r = 0; r < size(); ++r) {
+  for (int r = first; r < end; ++r) {
     if (fault_ && fault_->has_churn(r)) {
       // Churning ranks run under a supervisor that restarts each scheduled
       // incarnation; pure-crash ranks keep the plain guarded path, so a
@@ -273,8 +288,8 @@ void World::purge_mailbox(int rank) {
   mb.held.clear();
 }
 
-// churn_supervisor lives in the record/replay section below (it needs the
-// ReplayResume awaiter).
+// churn_supervisor lives in the record/replay section below (it replays
+// membership markers).
 
 // ----------------------------------------------------------------- engine --
 
@@ -400,13 +415,22 @@ void World::run_all(const RankFn& fn, std::uint64_t max_events) {
 
 // -------------------------------------------------------------------- p2p --
 
-namespace {
-sim::Task<void> deliver_later(World& world, sim::Simulation& s, sim::Time arrive, int dst,
-                              Message msg) {
-  co_await s.delay(arrive - s.now());
-  world.deliver_now(dst, std::move(msg));
+void World::deliver_at_arrival(int dst, Message msg) {
+  if (detector_ && !crash_delivered(msg.src, dst, msg.sent_at, msg.arrived_at)) {
+    // The crash rule trumps the reliable transport's "final retransmission
+    // always lands": a dead endpoint or severed link loses the message for
+    // good, in-flight copies included.
+    fault_->count_crash_drop();
+    return;
+  }
+  sim_of(dst).spawn(deliver_later(dst, std::move(msg)));
 }
-}  // namespace
+
+sim::Task<void> World::deliver_later(int dst, Message msg) {
+  sim::Simulation& s = sim_of(dst);
+  co_await s.delay(msg.arrived_at - s.now());
+  deliver_now(dst, std::move(msg));
+}
 
 void World::push_ingress(int src, int dst, sim::Time depart_ready, sim::Time port_time,
                          Message msg) {
@@ -449,15 +473,7 @@ void World::drain_outboxes() {
     sim::Time arrive = network_.ingress_admit(r.dst, r.msg.bytes, r.port_time, r.depart_ready);
     if (fault_) arrive = fault_->release_time(r.dst, arrive);
     r.msg.arrived_at = arrive;
-    if (!detector_ || crash_delivered(r.src, r.dst, r.msg.sent_at, arrive)) {
-      sim::Simulation& dst_sim = *sims_[static_cast<std::size_t>(dshard)];
-      dst_sim.spawn(deliver_later(*this, dst_sim, arrive, r.dst, std::move(r.msg)));
-    } else {
-      // The crash rule trumps the reliable transport's "final retransmission
-      // always lands": a dead endpoint or severed link loses the message for
-      // good, in-flight copies included.
-      fault_->count_crash_drop();
-    }
+    deliver_at_arrival(r.dst, std::move(r.msg));
   }
   sim::set_current_shard(0);
 }
@@ -476,18 +492,12 @@ void World::dispatch_message(int src, int dst, std::vector<double> data, std::in
     // Replay: the message has no receiver to reach; verify the send against
     // the log (same spot record mode logs it, after pause translation) and
     // drop it.
-    replay_verify_send(dst, tag, bytes, data, ready);
+    replay_feed_->expect({.kind = replay::EventKind::kSend, .peer = dst, .tag = tag, .at = ready,
+                          .bytes = bytes, .payload = &data});
     return;
   }
   if (record_section_ != nullptr) {
-    replay::Event ev;
-    ev.kind = replay::EventKind::kSend;
-    ev.peer = dst;
-    ev.tag = tag;
-    ev.bytes = bytes;
-    ev.time = ready;
-    ev.digest = replay::payload_digest(data);
-    record_section_->append(src, std::move(ev));
+    record_section_->append(src, replay::encode_send(dst, tag, bytes, ready, data));
   }
   Message msg;
   msg.src = src;
@@ -514,26 +524,17 @@ void World::dispatch_message(int src, int dst, std::vector<double> data, std::in
     push_ingress(src, dst, ready, port, std::move(msg));
     return;
   }
-  sim::Simulation& s = sim_of(dst);  // same shard as src: shards don't split nodes
+  // Intra-node: same shard as src (shards don't split nodes).
   sim::Time arrive = network_.deliver_time(src, dst, bytes, ready, seq_tracking_ ? &df : nullptr);
   if (fault_) arrive = fault_->release_time(dst, arrive);
   msg.arrived_at = arrive;
   if (df.duplicate) {
     Message copy = msg;
-    sim::Time dup_arrive = network_.deliver_time(src, dst, bytes, ready);
-    if (fault_) dup_arrive = fault_->release_time(dst, dup_arrive);
-    copy.arrived_at = dup_arrive;
-    if (!detector_ || crash_delivered(src, dst, ready, dup_arrive)) {
-      s.spawn(deliver_later(*this, s, dup_arrive, dst, std::move(copy)));
-    } else {
-      fault_->count_crash_drop();
-    }
+    copy.arrived_at = network_.deliver_time(src, dst, bytes, ready);
+    if (fault_) copy.arrived_at = fault_->release_time(dst, copy.arrived_at);
+    deliver_at_arrival(dst, std::move(copy));
   }
-  if (!detector_ || crash_delivered(src, dst, ready, arrive)) {
-    s.spawn(deliver_later(*this, s, arrive, dst, std::move(msg)));
-  } else {
-    fault_->count_crash_drop();
-  }
+  deliver_at_arrival(dst, std::move(msg));
 }
 
 bool World::crash_delivered(int src, int dst, sim::Time send, sim::Time arrive) const noexcept {
@@ -703,7 +704,12 @@ sim::Task<void> World::block_on_recv(RecvRequest request, sim::Time deadline) {
 }
 
 sim::Task<Message> World::await_recv(RecvRequest request) {
-  if (replay_feed_) co_return co_await replay_recv(std::move(request));
+  if (replay_feed_) {
+    cancel_recv(request);  // no peer will ever complete it
+    co_await replay_step(request->owner, {.kind = replay::EventKind::kRecv,
+                                          .peer = request->src, .tag = request->tag});
+    co_return replay::decode_recv(replay_feed_->last());
+  }
   // Even a plain receive gets a bound under the crash model: blocking on a
   // peer the detector has declared dead is turned into a loud error (and
   // the liveness net turns any remaining cross-wait into one too) instead
@@ -723,29 +729,36 @@ sim::Task<Message> World::await_recv(RecvRequest request) {
                              "path for quorum collectives)");
   }
   co_await s.delay(network_.recv_overhead());
-  record_recv_completion(request);
+  if (record_section_ != nullptr) {
+    record_section_->append(request->owner, replay::encode_recv(request->msg, s.now()));
+  }
   co_return std::move(request->msg);
 }
 
 sim::Task<std::optional<Message>> World::await_recv_until(RecvRequest request,
                                                           sim::Time deadline) {
-  if (replay_feed_) co_return co_await replay_recv_until(std::move(request));
+  if (replay_feed_) {
+    cancel_recv(request);  // no peer will ever complete it
+    co_await replay_step(request->owner,
+                         {.kind = replay::EventKind::kRecv, .peer = request->src,
+                          .tag = request->tag, .or_timeout = true});
+    if (replay_feed_->last().kind == replay::EventKind::kRecvTimeout) co_return std::nullopt;
+    co_return replay::decode_recv(replay_feed_->last());
+  }
   sim::Simulation& s = sim_of(request->owner);
   co_await block_on_recv(request, deadline);
   if (request->owner_crashed) throw RankCrashed{request->owner, s.now()};
   if (request->timed_out) {
     if (record_section_ != nullptr) {
-      replay::Event ev;
-      ev.kind = replay::EventKind::kRecvTimeout;
-      ev.peer = request->src;
-      ev.tag = request->tag;
-      ev.time = s.now();
-      record_section_->append(request->owner, std::move(ev));
+      record_section_->append(request->owner,
+                              replay::encode_recv_timeout(request->src, request->tag, s.now()));
     }
     co_return std::nullopt;
   }
   co_await s.delay(network_.recv_overhead());
-  record_recv_completion(request);
+  if (record_section_ != nullptr) {
+    record_section_->append(request->owner, replay::encode_recv(request->msg, s.now()));
+  }
   co_return std::move(request->msg);
 }
 
@@ -777,19 +790,21 @@ sim::Task<void> World::await_send(SendRequest request) {
 // ------------------------------------------------------------------ burst --
 
 struct World::BurstState {
-  int client_rank = -1;
-  int ref_rank = -1;
-  vclock::Clock* client_clock = nullptr;
-  vclock::Clock* ref_clock = nullptr;
-  sim::Time client_ready = 0.0;
-  sim::Time ref_ready = 0.0;
+  struct Half {
+    int rank = -1;
+    vclock::Clock* clock = nullptr;
+    sim::Time ready = 0.0;  // when the caller entered the burst
+    sim::Time done = 0.0;   // when it resumes (set by synthesize_burst)
+  };
+  Half client;
+  Half ref;
   bool first_is_client = false;
   std::coroutine_handle<> first_handle = nullptr;
   int nexchanges = 0;
   std::int64_t bytes = 0;
   BurstResult result;
-  sim::Time client_done = 0.0;
-  sim::Time ref_done = 0.0;
+
+  Half& half(bool is_client) { return is_client ? client : ref; }
 };
 
 std::uint64_t World::pair_key(int a, int b, int world_size) {
@@ -809,8 +824,8 @@ void World::synthesize_burst(BurstState& st) {
   WorldMetrics& metrics = my_metrics();
   const double o_s = network_.send_overhead();
   const double o_r = network_.recv_overhead();
-  sim::Time tc = st.client_ready;  // client's process-time cursor
-  sim::Time tr = st.ref_ready;     // reference's process-time cursor
+  sim::Time tc = st.client.ready;  // client's process-time cursor
+  sim::Time tr = st.ref.ready;     // reference's process-time cursor
   const bool faulty = fault_ && fault_->net_active();
   const bool pausing = fault_ && fault_->pause_active();
   const bool crashy = detector_ != nullptr;
@@ -821,10 +836,10 @@ void World::synthesize_burst(BurstState& st) {
   sim::Time client_crash = sim::kTimeInfinity;
   sim::Time abandon_at = sim::kTimeInfinity;
   if (crashy) {
-    client_crash = fault_->next_down(st.client_rank, st.client_ready);
-    abandon_at = detector_->detect_time_after(st.client_rank, st.ref_rank, st.client_ready);
+    client_crash = fault_->next_down(st.client.rank, st.client.ready);
+    abandon_at = detector_->detect_time_after(st.client.rank, st.ref.rank, st.client.ready);
   }
-  const LinkLevel level = network_.classify(st.client_rank, st.ref_rank);
+  const LinkLevel level = network_.classify(st.client.rank, st.ref.rank);
   const double timeout =
       kPingTimeoutFactor * (2.0 * network_.expected_delay(level, st.bytes) + 2.0 * (o_s + o_r));
   st.result.requested = st.nexchanges;
@@ -839,43 +854,43 @@ void World::synthesize_burst(BurstState& st) {
         aborted = true;
         break;
       }
-      if (pausing) tc = fault_->release_time(st.client_rank, tc);
+      if (pausing) tc = fault_->release_time(st.client.rank, tc);
       const sim::Time attempt_start = tc;
       // The timeout guards against message loss, not partner lateness: the
       // reference may legitimately enter the burst long after the client
       // (Alg. 6 sleeps wait_time between rounds; serial schedules like JK
       // make client j wait for j-1 predecessors), so the deadline only
       // starts once both peers could be exchanging messages.
-      const sim::Time deadline = std::max(attempt_start, st.ref_ready) + timeout;
+      const sim::Time deadline = std::max(attempt_start, st.ref.ready) + timeout;
       PingSample s;
-      s.client_send = st.client_clock->at(tc);
+      s.client_send = st.client.clock->at(tc);
       fault::NetFaultDecision ping_fd;
       const sim::Time arrive_ref = network_.deliver_time_uncontended(
-          st.client_rank, st.ref_rank, st.bytes, tc + o_s, faulty ? &ping_fd : nullptr);
+          st.client.rank, st.ref.rank, st.bytes, tc + o_s, faulty ? &ping_fd : nullptr);
       bool timed_out = ping_fd.drop;
-      if (crashy && !crash_delivered(st.client_rank, st.ref_rank, tc, arrive_ref)) {
+      if (crashy && !crash_delivered(st.client.rank, st.ref.rank, tc, arrive_ref)) {
         timed_out = true;
       }
       if (!timed_out) {
         sim::Time stamp_time = std::max(arrive_ref, tr) + o_r;
-        if (pausing) stamp_time = fault_->release_time(st.ref_rank, stamp_time);
-        s.ref_reply = st.ref_clock->at(stamp_time);
+        if (pausing) stamp_time = fault_->release_time(st.ref.rank, stamp_time);
+        s.ref_reply = st.ref.clock->at(stamp_time);
         const sim::Time reply_depart = stamp_time + o_s;
         tr = reply_depart;  // the reference served this ping whether or not the pong survives
         fault::NetFaultDecision pong_fd;
         const sim::Time arrive_client = network_.deliver_time_uncontended(
-            st.ref_rank, st.client_rank, st.bytes, reply_depart, faulty ? &pong_fd : nullptr);
+            st.ref.rank, st.client.rank, st.bytes, reply_depart, faulty ? &pong_fd : nullptr);
         // `faulty` gate: fault-free this branch must be taken unconditionally
         // so the synthesized schedule stays bit-identical to the seed model.
         // The crash rule also covers the reference dying mid-service: a
         // reply departing after its crash necessarily arrives after it.
         if (pong_fd.drop || (faulty && arrive_client + o_r > deadline) ||
-            (crashy && !crash_delivered(st.ref_rank, st.client_rank, reply_depart,
+            (crashy && !crash_delivered(st.ref.rank, st.client.rank, reply_depart,
                                         arrive_client))) {
           timed_out = true;  // pong lost, or it arrived after the client gave up
         } else {
           const sim::Time recv_time = arrive_client + o_r;
-          s.client_recv = st.client_clock->at(recv_time);
+          s.client_recv = st.client.clock->at(recv_time);
           st.result.samples.push_back(s);
           if (metrics.rtt) metrics.rtt->observe(recv_time - attempt_start);
           tc = recv_time;
@@ -890,8 +905,8 @@ void World::synthesize_burst(BurstState& st) {
       ++st.result.retries;
     }
   }
-  st.client_done = tc;
-  st.ref_done = tr;
+  st.client.done = tc;
+  st.ref.done = tr;
   if (metrics.pingpongs) metrics.pingpongs->inc(static_cast<std::uint64_t>(st.nexchanges));
   if (faulty) {
     if (metrics.burst_retries) metrics.burst_retries->observe(st.result.retries);
@@ -902,8 +917,8 @@ void World::synthesize_burst(BurstState& st) {
   if (trace::Tracer* tracer = trace::active_tracer()) {
     // Explicit timestamps: the burst is synthesized, so "now" would misplace
     // it.  This span is where HCA3 spends its RTT budget.
-    tracer->record_complete(st.client_rank, trace::Category::kNet, "pingpong_burst",
-                            st.client_ready, st.client_done - st.client_ready, st.nexchanges);
+    tracer->record_complete(st.client.rank, trace::Category::kNet, "pingpong_burst",
+                            st.client.ready, st.client.done - st.client.ready, st.nexchanges);
   }
 }
 
@@ -916,7 +931,7 @@ void World::synthesize_burst(BurstState& st) {
 // lazily skipped by the rendezvous drain instead.
 sim::Task<void> World::burst_watchdog(std::shared_ptr<BurstState> st, std::uint64_t key,
                                       sim::Time when, bool cross_node) {
-  const int owner = st->first_is_client ? st->client_rank : st->ref_rank;
+  const int owner = st->half(st->first_is_client).rank;
   sim::Simulation& s = sim_of(owner);
   if (when > s.now()) co_await s.delay(when - s.now());
   if (!st->first_handle) co_return;
@@ -938,7 +953,11 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
   if (nexchanges < 1) throw std::invalid_argument("pingpong_burst: nexchanges must be >= 1");
   if (me == partner) throw std::invalid_argument("pingpong_burst: self ping-pong");
   check_crash(me);
-  if (replay_feed_) co_return co_await replay_burst(me, partner, i_am_client);
+  if (replay_feed_) {
+    co_await replay_step(me, {.kind = replay::EventKind::kBurst, .peer = partner,
+                              .role = i_am_client});
+    co_return replay::decode_burst(replay_feed_->last());
+  }
   BurstResult result;
   if (node_of_rank_[static_cast<std::size_t>(me)] ==
       node_of_rank_[static_cast<std::size_t>(partner)]) {
@@ -950,16 +969,38 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
     // Recorded at the caller's resume point (its own shard thread, at the
     // clamped done time — both shard-count-invariant), never from the
     // coordinator's rendezvous drain.
-    replay::Event ev;
-    ev.kind = replay::EventKind::kBurst;
-    ev.flags = i_am_client ? 1 : 0;
-    ev.peer = partner;
-    ev.time = sim_of(me).now();
-    ev.values = replay::encode_burst(result);
-    ev.digest = replay::payload_digest(ev.values);
-    record_section_->append(me, std::move(ev));
+    record_section_->append(me,
+                            replay::encode_burst(result, partner, i_am_client, sim_of(me).now()));
   }
   co_return result;
+}
+
+std::shared_ptr<World::BurstState> World::open_burst(int me, int partner, bool i_am_client,
+                                                     vclock::Clock& my_clock, int nexchanges,
+                                                     std::int64_t bytes, std::uint64_t key,
+                                                     bool cross_node) {
+  sim::Simulation& s = sim_of(me);
+  auto st = std::make_shared<BurstState>();
+  st->nexchanges = nexchanges;
+  st->bytes = bytes;
+  st->first_is_client = i_am_client;
+  st->half(i_am_client) = {me, &my_clock, s.now()};
+  if (!detector_) return st;
+  const sim::Time partner_dead = detector_->detect_time_after(me, partner, s.now());
+  if (partner_dead <= s.now()) {
+    // Resolved without suspending: a watchdog due "now" would fire before
+    // the caller's suspend publishes the waiter handle.
+    st->result.requested = nexchanges;
+    st->result.lost = nexchanges;
+    fault_->count_crash_drop();
+    return st;
+  }
+  // The caller's check_crash guarantees now < own crash time, so both
+  // watchdogs fire strictly in the future, after the handle is published.
+  const sim::Time own_crash = fault_->next_down(me, s.now());
+  if (own_crash < sim::kTimeInfinity) s.spawn(burst_watchdog(st, key, own_crash, cross_node));
+  if (partner_dead < sim::kTimeInfinity) s.spawn(burst_watchdog(st, key, partner_dead, cross_node));
+  return st;
 }
 
 // Intra-node burst: both callers live in the same shard, so the pairing map
@@ -971,63 +1012,12 @@ sim::Task<BurstResult> World::pingpong_burst_local(int me, int partner, bool i_a
   auto& bursts = shard_states_[static_cast<std::size_t>(shard_of_rank(me))].local_bursts;
   const std::uint64_t key = pair_key(me, partner, size());
   const auto it = bursts.find(key);
-
-  // NOTE: awaiters with non-trivially-destructible members must be named
-  // locals, never co_await'ed as brace-init temporaries: GCC 12 destroys such
-  // temporaries twice at the resume point (sibling of the "array used as
-  // initializer" bug; see util/vec.hpp).
-  struct SuspendForPartner {
-    std::shared_ptr<BurstState> st;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { st->first_handle = h; }
-    void await_resume() const noexcept {}
-  };
-  struct ResumeAt {
-    sim::Simulation* sim;
-    sim::Time when;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { sim->schedule_at(when, h); }
-    void await_resume() const noexcept {}
-  };
-
   if (it == bursts.end()) {
-    auto st = std::make_shared<BurstState>();
-    st->nexchanges = nexchanges;
-    st->bytes = bytes;
-    st->first_is_client = i_am_client;
-    if (i_am_client) {
-      st->client_rank = me;
-      st->client_clock = &my_clock;
-      st->client_ready = s.now();
-    } else {
-      st->ref_rank = me;
-      st->ref_clock = &my_clock;
-      st->ref_ready = s.now();
-    }
+    auto st = open_burst(me, partner, i_am_client, my_clock, nexchanges, bytes, key,
+                         /*cross_node=*/false);
+    if (st->result.lost > 0) co_return st->result;  // partner already declared dead
     bursts[key] = st;
-    if (detector_) {
-      const sim::Time partner_dead = detector_->detect_time_after(me, partner, s.now());
-      if (partner_dead <= s.now()) {
-        // Partner already declared dead: resolve as fully lost without
-        // suspending (a watchdog due "now" would fire before the suspend
-        // below publishes the waiter handle).
-        bursts.erase(key);
-        st->result.requested = nexchanges;
-        st->result.lost = nexchanges;
-        fault_->count_crash_drop();
-        co_return st->result;
-      }
-      // check_crash above guarantees now < own crash time, so both watchdogs
-      // fire strictly in the future, after the waiter handle is published.
-      const sim::Time own_crash = fault_->next_down(me, s.now());
-      if (own_crash < sim::kTimeInfinity) {
-        s.spawn(burst_watchdog(st, key, own_crash, /*cross_node=*/false));
-      }
-      if (partner_dead < sim::kTimeInfinity) {
-        s.spawn(burst_watchdog(st, key, partner_dead, /*cross_node=*/false));
-      }
-    }
-    SuspendForPartner wait_for_partner{st};
+    ParkIn wait_for_partner{&st->first_handle};
     co_await wait_for_partner;
     check_crash(me);
     co_return st->result;
@@ -1038,19 +1028,11 @@ sim::Task<BurstResult> World::pingpong_burst_local(int me, int partner, bool i_a
   if (st->nexchanges != nexchanges || st->first_is_client == i_am_client) {
     throw std::logic_error("pingpong_burst: mismatched burst call between partners");
   }
-  if (i_am_client) {
-    st->client_rank = me;
-    st->client_clock = &my_clock;
-    st->client_ready = s.now();
-  } else {
-    st->ref_rank = me;
-    st->ref_clock = &my_clock;
-    st->ref_ready = s.now();
-  }
+  st->half(i_am_client) = {me, &my_clock, s.now()};
   synthesize_burst(*st);
-  s.schedule_at(st->first_is_client ? st->client_done : st->ref_done, st->first_handle);
+  s.schedule_at(st->half(st->first_is_client).done, st->first_handle);
   st->first_handle = nullptr;  // burst watchdogs must not resume it again
-  ResumeAt resume_at{&s, i_am_client ? st->client_done : st->ref_done};
+  ResumeAt resume_at{&s, st->half(i_am_client).done};
   co_await resume_at;
   check_crash(me);
   co_return st->result;
@@ -1064,48 +1046,13 @@ sim::Task<BurstResult> World::pingpong_burst_local(int me, int partner, bool i_a
 sim::Task<BurstResult> World::pingpong_burst_cross(int me, int partner, bool i_am_client,
                                                    vclock::Clock& my_clock, int nexchanges,
                                                    std::int64_t bytes) {
-  sim::Simulation& s = sim_of(me);
   const std::uint64_t key = pair_key(me, partner, size());
-  auto st = std::make_shared<BurstState>();
-  st->nexchanges = nexchanges;
-  st->bytes = bytes;
-  st->first_is_client = i_am_client;
-  if (i_am_client) {
-    st->client_rank = me;
-    st->client_clock = &my_clock;
-    st->client_ready = s.now();
-  } else {
-    st->ref_rank = me;
-    st->ref_clock = &my_clock;
-    st->ref_ready = s.now();
-  }
-  if (detector_) {
-    const sim::Time partner_dead = detector_->detect_time_after(me, partner, s.now());
-    if (partner_dead <= s.now()) {
-      st->result.requested = nexchanges;
-      st->result.lost = nexchanges;
-      fault_->count_crash_drop();
-      co_return st->result;
-    }
-    const sim::Time own_crash = fault_->next_down(me, s.now());
-    if (own_crash < sim::kTimeInfinity) {
-      s.spawn(burst_watchdog(st, key, own_crash, /*cross_node=*/true));
-    }
-    if (partner_dead < sim::kTimeInfinity) {
-      s.spawn(burst_watchdog(st, key, partner_dead, /*cross_node=*/true));
-    }
-  }
+  auto st = open_burst(me, partner, i_am_client, my_clock, nexchanges, bytes, key,
+                       /*cross_node=*/true);
+  if (st->result.lost > 0) co_return st->result;  // partner already declared dead
   shard_states_[static_cast<std::size_t>(shard_of_rank(me))].halves.push_back(
       PendingHalf{key, i_am_client, st});
-
-  struct SuspendForPartner {
-    std::shared_ptr<BurstState> st;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { st->first_handle = h; }
-    void await_resume() const noexcept {}
-  };
-  // NOTE: named awaiter on purpose (GCC 12 temporary-awaiter bug).
-  SuspendForPartner wait_for_partner{st};
+  ParkIn wait_for_partner{&st->first_handle};
   co_await wait_for_partner;
   check_crash(me);
   co_return st->result;
@@ -1147,16 +1094,8 @@ void World::drain_burst_halves() {
       sim::set_current_shard(0);
       throw std::logic_error("pingpong_burst: mismatched burst call between partners");
     }
-    if (h.is_client) {
-      st->client_rank = h.st->client_rank;
-      st->client_clock = h.st->client_clock;
-      st->client_ready = h.st->client_ready;
-    } else {
-      st->ref_rank = h.st->ref_rank;
-      st->ref_clock = h.st->ref_clock;
-      st->ref_ready = h.st->ref_ready;
-    }
-    const int client_shard = shard_of_rank(st->client_rank);
+    st->half(h.is_client) = h.st->half(h.is_client);
+    const int client_shard = shard_of_rank(st->client.rank);
     {
       sim::set_current_shard(client_shard);
       trace::ScopedTracer tracer_guard(
@@ -1169,16 +1108,16 @@ void World::drain_burst_halves() {
       synthesize_burst(*st);
     }
     h.st->result = st->result;
-    const int first_rank = first.is_client ? st->client_rank : st->ref_rank;
-    const sim::Time first_done = first.is_client ? st->client_done : st->ref_done;
-    const sim::Time second_done = h.is_client ? st->client_done : st->ref_done;
     // Resumes clamp to the end of the window that just ran: a reference
     // whose service finished early may not re-enter its shard mid-window.
     // The clamp time is itself shard-count-invariant, so so are the resumes.
-    sim_of(first_rank).schedule_at(std::max(first_done, last_window_end_), st->first_handle);
+    const BurstState::Half& first_half = st->half(first.is_client);
+    sim_of(first_half.rank).schedule_at(std::max(first_half.done, last_window_end_),
+                                        st->first_handle);
     st->first_handle = nullptr;
-    const int second_rank = h.is_client ? st->client_rank : st->ref_rank;
-    sim_of(second_rank).schedule_at(std::max(second_done, last_window_end_), h.st->first_handle);
+    const BurstState::Half& second_half = st->half(h.is_client);
+    sim_of(second_half.rank).schedule_at(std::max(second_half.done, last_window_end_),
+                                         h.st->first_handle);
     h.st->first_handle = nullptr;
   }
   sim::set_current_shard(0);
@@ -1186,32 +1125,11 @@ void World::drain_burst_halves() {
 
 // -------------------------------------------------- record / replay --------
 //
-// Recording appends one Event per rank-visible transport completion (and per
-// hooked clock read) to this World's section of the installed Recorder;
-// replay re-runs one rank against such a log, resuming it at the recorded
-// absolute sim-times and verifying everything it emits against the recorded
-// stream (docs/record-replay.md).
-
-namespace {
-
-std::string fmt_time(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", t);
-  return buf;
-}
-
-// NOTE: named awaiter on purpose (GCC 12 temporary-awaiter bug).  schedule_at
-// clamps past times to "now", so recorded absolute times resume exactly —
-// a relative delay(t - now) could drift by an ulp.
-struct ReplayResume {
-  sim::Simulation* sim;
-  sim::Time when;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) { sim->schedule_at(when, h); }
-  void await_resume() const noexcept {}
-};
-
-}  // namespace
+// Recording appends one event per rank-visible transport completion (and per
+// hooked clock read) to this World's section of the installed Recorder, each
+// built by one replay::encode_* call; replay re-runs one rank against such a
+// log, resuming it at the recorded absolute sim-times and verifying
+// everything it emits against the recorded stream (docs/record-replay.md).
 
 void World::attach_replay(replay::ReplayFeed* feed, int rank) {
   if (nshards_ != 1) {
@@ -1228,194 +1146,47 @@ void World::attach_replay(replay::ReplayFeed* feed, int rank) {
   record_section_ = nullptr;  // a replay run is never itself recorded
 }
 
-void World::record_recv_completion(const RecvRequest& request) {
-  if (record_section_ == nullptr) return;
-  replay::Event ev;
-  ev.kind = replay::EventKind::kRecv;
-  ev.peer = request->msg.src;
-  ev.tag = request->msg.tag;
-  ev.bytes = request->msg.bytes;
-  ev.time = sim_of(request->owner).now();
-  ev.aux0 = request->msg.sent_at;
-  ev.aux1 = request->msg.arrived_at;
-  ev.values = request->msg.data;
-  ev.digest = replay::payload_digest(ev.values);
-  record_section_->append(request->owner, std::move(ev));
-}
-
 double World::clock_read_hook(int rank, vclock::Clock& clock) {
+  const sim::Time now = sim_of(rank).now();
   if (replay_feed_) {
-    const replay::Event* ev = replay_feed_->peek();
-    if (ev == nullptr) {
-      replay_feed_->diverge("recorded event log exhausted at a direct clock read");
-    }
-    if (ev->kind != replay::EventKind::kClockRead) {
-      replay_feed_->diverge(std::string("clock read does not match recorded ") +
-                            replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                            ", sim-time " + fmt_time(ev->time) + ")");
-    }
-    const sim::Time now = sim_of(rank).now();
-    if (ev->time != now) {
-      replay_feed_->diverge("clock read at sim-time " + fmt_time(now) + ", recorded at " +
-                            fmt_time(ev->time));
-    }
-    const double value = ev->values.empty() ? 0.0 : ev->values[0];
-    replay_feed_->take();
-    return value;
+    return replay::decode_clock_read(
+        replay_feed_->expect({.kind = replay::EventKind::kClockRead, .at = now}));
   }
   const double value = clock.now();
   if (record_section_ != nullptr) {
-    replay::Event ev;
-    ev.kind = replay::EventKind::kClockRead;
-    ev.time = sim_of(rank).now();
-    ev.values.push_back(value);
-    ev.digest = replay::payload_digest(ev.values);
-    record_section_->append(rank, std::move(ev));
+    record_section_->append(rank, replay::encode_clock_read(value, now));
   }
   return value;
 }
 
-void World::replay_verify_send(int dst, std::int64_t tag, std::int64_t bytes,
-                               const std::vector<double>& data, sim::Time ready) {
-  const replay::Event* ev = replay_feed_->peek();
-  if (ev == nullptr) {
-    replay_feed_->diverge("recorded event log exhausted at a send to rank " +
-                          std::to_string(dst));
-  }
-  if (ev->kind != replay::EventKind::kSend || ev->peer != dst || ev->tag != tag ||
-      ev->bytes != bytes) {
-    replay_feed_->diverge("send to rank " + std::to_string(dst) + " (tag " +
-                          std::to_string(tag) + ", " + std::to_string(bytes) +
-                          " bytes) does not match recorded " +
-                          replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                          ", tag " + std::to_string(ev->tag) + ", " +
-                          std::to_string(ev->bytes) + " bytes)");
-  }
-  if (ev->time != ready) {
-    replay_feed_->diverge("send to rank " + std::to_string(dst) + " dispatched at sim-time " +
-                          fmt_time(ready) + ", recorded at " + fmt_time(ev->time));
-  }
-  if (ev->digest != replay::payload_digest(data)) {
-    replay_feed_->diverge("send to rank " + std::to_string(dst) +
-                          " payload digest differs from the recording");
-  }
-  replay_feed_->take();
-}
-
-sim::Task<Message> World::replay_recv(RecvRequest request) {
-  const int me = request->owner;
-  cancel_recv(request);  // no peer will ever complete it
+// Checks before it consumes, so a divergence names the mismatching event.
+// A recorded departure marker at the head kills the rank there instead, as
+// record mode did (the churn supervisor resumes the next incarnation).  The
+// recording of a crash-stopped rank simply ends at its last completed
+// operation, so an exhausted log means: advance to the failure model's crash
+// time and die exactly as record mode did — or, when this rank never
+// crashes, the replayed program out-ran the recording.
+sim::Task<void> World::replay_step(int me, replay::Expected want) {
   sim::Simulation& s = sim_of(me);
   check_crash(me);
-  const replay::Event* ev = replay_feed_->peek();
-  if (ev == nullptr) {
-    co_await replay_starve(me);  // crash at the recorded time, or diverge
-    co_return Message{};         // unreachable: replay_starve always throws
-  }
-  if (ev->kind == replay::EventKind::kMembership && ev->flags == 0) {
-    // The recording marks this rank's departure here: die exactly as record
-    // mode did (the churn supervisor resumes the next incarnation).
-    const sim::Time when = ev->time;
-    replay_feed_->take();
-    ReplayResume resume{&s, when};
-    co_await resume;
+  if (replay_feed_->peek() == nullptr) {
+    const sim::Time crash = detector_ ? fault_->next_down(me, s.now()) : sim::kTimeInfinity;
+    if (crash >= sim::kTimeInfinity) {
+      replay_feed_->diverge(
+          "recorded event log exhausted (the replayed program performed more operations than "
+          "the recording)");
+    }
+    if (crash > s.now()) {
+      ResumeAt resume{&s, crash};
+      co_await resume;
+    }
     throw RankCrashed{me, s.now()};
   }
-  if (ev->kind != replay::EventKind::kRecv || ev->peer != request->src ||
-      ev->tag != request->tag) {
-    replay_feed_->diverge("recv from rank " + std::to_string(request->src) + " (tag " +
-                          std::to_string(request->tag) + ") does not match recorded " +
-                          replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                          ", tag " + std::to_string(ev->tag) + ")");
-  }
-  Message msg;
-  msg.src = ev->peer;
-  msg.tag = ev->tag;
-  msg.bytes = ev->bytes;
-  msg.sent_at = ev->aux0;
-  msg.arrived_at = ev->aux1;
-  msg.data = ev->values;
-  const sim::Time when = ev->time;
-  replay_feed_->take();
-  ReplayResume resume{&s, when};
+  const auto* departure = replay_feed_->take_departure();
+  ResumeAt resume{&s, departure ? departure->time : replay_feed_->expect(want).time};
   co_await resume;
+  if (departure) throw RankCrashed{me, s.now()};
   check_crash(me);
-  co_return msg;
-}
-
-sim::Task<std::optional<Message>> World::replay_recv_until(RecvRequest request) {
-  const int me = request->owner;
-  const replay::Event* ev = replay_feed_->peek();
-  if (ev != nullptr && ev->kind == replay::EventKind::kRecvTimeout) {
-    cancel_recv(request);
-    sim::Simulation& s = sim_of(me);
-    check_crash(me);
-    if (ev->peer != request->src || ev->tag != request->tag) {
-      replay_feed_->diverge("bounded recv from rank " + std::to_string(request->src) + " (tag " +
-                            std::to_string(request->tag) + ") does not match recorded timeout " +
-                            "(peer " + std::to_string(ev->peer) + ", tag " +
-                            std::to_string(ev->tag) + ")");
-    }
-    const sim::Time when = ev->time;
-    replay_feed_->take();
-    ReplayResume resume{&s, when};
-    co_await resume;
-    check_crash(me);
-    co_return std::nullopt;
-  }
-  co_return co_await replay_recv(std::move(request));
-}
-
-sim::Task<BurstResult> World::replay_burst(int me, int partner, bool i_am_client) {
-  sim::Simulation& s = sim_of(me);
-  const replay::Event* ev = replay_feed_->peek();
-  if (ev == nullptr) {
-    co_await replay_starve(me);
-    co_return BurstResult{};  // unreachable: replay_starve always throws
-  }
-  if (ev->kind == replay::EventKind::kMembership && ev->flags == 0) {
-    const sim::Time when = ev->time;
-    replay_feed_->take();
-    ReplayResume resume{&s, when};
-    co_await resume;
-    throw RankCrashed{me, s.now()};
-  }
-  const std::uint8_t role = i_am_client ? 1 : 0;
-  if (ev->kind != replay::EventKind::kBurst || ev->peer != partner || ev->flags != role) {
-    replay_feed_->diverge("pingpong_burst with rank " + std::to_string(partner) + " as " +
-                          (i_am_client ? "client" : "reference") + " does not match recorded " +
-                          replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                          ", flags " + std::to_string(ev->flags) + ")");
-  }
-  BurstResult result = replay::decode_burst(ev->values);
-  const sim::Time when = ev->time;
-  replay_feed_->take();
-  ReplayResume resume{&s, when};
-  co_await resume;
-  check_crash(me);
-  co_return result;
-}
-
-// The recording of a crashed rank simply ends at its last completed
-// operation; there is no explicit crash event.  When the feed runs dry and
-// the (purely deterministic) failure detector says this rank does crash,
-// advance to that moment and die exactly as record mode did.  Any other
-// exhaustion means the replayed program out-ran the recording.
-sim::Task<void> World::replay_starve(int me) {
-  if (detector_ != nullptr) {
-    const sim::Time crash = fault_->next_down(me, sim_of(me).now());
-    if (crash < sim::kTimeInfinity) {
-      sim::Simulation& s = sim_of(me);
-      if (crash > s.now()) {
-        ReplayResume resume{&s, crash};
-        co_await resume;
-      }
-      throw RankCrashed{me, s.now()};
-    }
-  }
-  replay_feed_->diverge(
-      "recorded event log exhausted (the replayed program performed more operations than the "
-      "recording)");
 }
 
 // One process per churning rank for the whole run: each scheduled up-period
@@ -1436,18 +1207,12 @@ sim::Task<void> World::churn_supervisor(RankFn fn, RankCtx& ctx) {
     if (replay_feed_ && k > 0) {
       // The restart instant was recorded as a membership "up" marker; resume
       // exactly there (and verify the plan still schedules this restart).
-      const replay::Event* ev = replay_feed_->peek();
-      if (ev == nullptr) co_return;  // recording ended while down
-      if (ev->kind != replay::EventKind::kMembership || ev->flags != 1) {
-        replay_feed_->diverge(std::string("restart of rank ") + std::to_string(rank) +
-                              " does not match recorded " + replay::to_string(ev->kind));
-      }
-      start = ev->time;
-      replay_feed_->take();
+      if (replay_feed_->peek() == nullptr) co_return;  // recording ended while down
+      start = replay_feed_->expect({.kind = replay::EventKind::kMembership, .role = true}).time;
     }
     if (start > s.now()) {
       if (replay_feed_) {
-        ReplayResume resume{&s, start};
+        ResumeAt resume{&s, start};
         co_await resume;
       } else {
         co_await s.delay(start - s.now());
@@ -1457,34 +1222,19 @@ sim::Task<void> World::churn_supervisor(RankFn fn, RankCtx& ctx) {
       purge_mailbox(rank);
       ctx.reset_comm();
       if (record_section_ != nullptr) {
-        replay::Event ev;
-        ev.kind = replay::EventKind::kMembership;
-        ev.flags = 1;  // up
-        ev.time = s.now();
-        ev.aux0 = static_cast<double>(k);
-        record_section_->append(rank, std::move(ev));
+        record_section_->append(rank, replay::encode_membership(/*up=*/true, k, s.now()));
       }
     }
     try {
       co_await fn(ctx);
       co_return;  // normal completion: later churn events never fire
     } catch (const RankCrashed&) {
-      if (replay_feed_) {
-        // When the oracle check (not the feed) raised the crash, the
-        // recorded down marker is still at the head: consume it so the
-        // restart peek below sees the matching up marker.
-        const replay::Event* ev = replay_feed_->peek();
-        if (ev != nullptr && ev->kind == replay::EventKind::kMembership && ev->flags == 0) {
-          replay_feed_->take();
-        }
-      }
+      // When the oracle check (not the feed) raised the crash, the recorded
+      // down marker is still at the head: consume it so the restart below
+      // sees the matching up marker.
+      if (replay_feed_) replay_feed_->take_departure();
       if (record_section_ != nullptr) {
-        replay::Event ev;
-        ev.kind = replay::EventKind::kMembership;
-        ev.flags = 0;  // down
-        ev.time = s.now();
-        ev.aux0 = static_cast<double>(k);
-        record_section_->append(rank, std::move(ev));
+        record_section_->append(rank, replay::encode_membership(/*up=*/false, k, s.now()));
       }
     }
   }

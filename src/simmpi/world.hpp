@@ -18,6 +18,14 @@
 //
 // The p2p_* and pingpong_burst members are the transport primitives used by
 // Comm; user code goes through Comm and the collectives API.
+//
+// Record/replay (docs/record-replay.md) sits at the same transport surface:
+// every rank-visible observation (send, receive completion or timeout,
+// burst, hooked clock read, membership marker) is one encode_* call into
+// the installed Recorder, and in single-rank replay (attach_replay) every
+// blocking operation is answered by one prologue, replay_step, while sends
+// and clock reads are verified by ReplayFeed::expect.  The .hcsr event
+// layout itself lives only in src/replay/record.hpp.
 #pragma once
 
 #include <coroutine>
@@ -49,6 +57,7 @@
 namespace hcs::replay {
 class ReplayFeed;
 struct RecordedWorld;
+struct Expected;
 }  // namespace hcs::replay
 
 namespace hcs::simmpi {
@@ -234,10 +243,6 @@ class World {
                                         vclock::Clock& my_clock, int nexchanges,
                                         std::int64_t bytes);
 
-  /// Internal: delivery of an in-flight message (public for the messenger
-  /// coroutine).
-  void deliver_now(int dst, Message msg);
-
   // --- record / replay (docs/record-replay.md) ---
 
   /// Switches this World into single-rank replay mode: launch() spawns only
@@ -248,9 +253,6 @@ class World {
   /// match; it must be unsharded.  The caller owns the feed and the
   /// RecordedWorld behind it; both must outlive the World.
   void attach_replay(replay::ReplayFeed* feed, int rank);
-
-  /// True once attach_replay() was called.
-  bool replaying() const noexcept { return replay_feed_ != nullptr; }
 
   /// Noisy clock read for rank code, record/replay aware — use via
   /// replay::observed_now().  Plain clock.now() normally; additionally logged
@@ -322,7 +324,20 @@ class World {
   static WorldMetrics resolve_metrics(trace::MetricsRegistry* registry);
   WorldMetrics& my_metrics() { return world_metrics_[static_cast<std::size_t>(sim::current_shard())]; }
   void synthesize_burst(BurstState& st);
+  /// First arriver's opening of a burst (every cross-node caller is one): a
+  /// fresh state holding the caller's half plus, under the crash model, the
+  /// watchdogs that resolve a wait the partner never completes.  A partner
+  /// already declared dead resolves the burst as fully lost at once
+  /// (result.lost > 0), without suspending.
+  std::shared_ptr<BurstState> open_burst(int me, int partner, bool i_am_client,
+                                         vclock::Clock& my_clock, int nexchanges,
+                                         std::int64_t bytes, std::uint64_t key, bool cross_node);
   void match_or_enqueue(int dst, Message msg);
+  /// Hands `msg` to dst's mailbox at msg.arrived_at — unless the crash rule
+  /// drops it (then it is counted as a crash drop instead).
+  void deliver_at_arrival(int dst, Message msg);
+  sim::Task<void> deliver_later(int dst, Message msg);
+  void deliver_now(int dst, Message msg);  // channel repair, then matching
   void dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                         std::int64_t tag, sim::Time ready);
   void push_ingress(int src, int dst, sim::Time depart_ready, sim::Time port_time, Message msg);
@@ -344,14 +359,10 @@ class World {
   sim::Task<void> burst_watchdog(std::shared_ptr<BurstState> st, std::uint64_t key,
                                  sim::Time when, bool cross_node);
 
-  // --- record / replay internals (world.cpp, docs/record-replay.md) ---
-  void record_recv_completion(const RecvRequest& request);
-  void replay_verify_send(int dst, std::int64_t tag, std::int64_t bytes,
-                          const std::vector<double>& data, sim::Time ready);
-  sim::Task<Message> replay_recv(RecvRequest request);
-  sim::Task<std::optional<Message>> replay_recv_until(RecvRequest request);
-  sim::Task<BurstResult> replay_burst(int me, int partner, bool i_am_client);
-  sim::Task<void> replay_starve(int me);  // crash at recorded time, or diverge
+  /// The replay prologue of every blocking operation (world.cpp,
+  /// docs/record-replay.md): consumes the recorded answer to `want` and
+  /// resumes `me` at its recorded time; callers decode replay_feed_->last().
+  sim::Task<void> replay_step(int me, replay::Expected want);
 
   // --- windowed engine (world_engine section of world.cpp) ---
   sim::Task<BurstResult> pingpong_burst_local(int me, int partner, bool i_am_client,

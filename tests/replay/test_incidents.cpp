@@ -4,12 +4,15 @@
 // library and how to regenerate it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "replay/bisect.hpp"
 #include "replay/format.hpp"
 #include "replay/harness.hpp"
+#include "replay/record.hpp"
 #include "replay/scenario.hpp"
 
 namespace hcs::replay {
@@ -105,6 +108,37 @@ TEST_P(IncidentSuite, FreshRunStillMatchesSidecar) {
   for (std::size_t rank = 0; rank < outcomes.size(); ++rank) {
     EXPECT_EQ(describe_outcome(outcomes[rank]), expected[rank])
         << incident.file << " rank " << rank;
+  }
+}
+
+// Re-recording the scenario from scratch must reproduce the committed event
+// streams exactly — pins the record side (every field of every event) across
+// commits, where FreshRunStillMatchesSidecar pins only the outcomes.
+// Compared in memory: the v1 incidents differ from a fresh v2 file only in
+// the header's version field.
+TEST_P(IncidentSuite, FreshRecordingMatchesCommitted) {
+  const Incident& incident = GetParam();
+  const Recording committed = load(incident_path(incident.file, ".hcsr"));
+  ASSERT_EQ(committed.worlds.size(), 1u);
+  Recorder recorder;
+  {
+    const ScopedRecorder install(&recorder);
+    run_scenario(find_scenario(incident.scenario), incident.seed);
+  }
+  ASSERT_EQ(recorder.world_count(), 1u);
+  const RecordedWorld& fresh = recorder.world(0);
+  const RecordedWorld& expected = committed.worlds[0];
+  EXPECT_EQ(fresh.info, expected.info);
+  ASSERT_EQ(fresh.ranks.size(), expected.ranks.size());
+  for (std::size_t rank = 0; rank < fresh.ranks.size(); ++rank) {
+    const std::vector<Event>& got = fresh.ranks[rank];
+    const std::vector<Event>& want = expected.ranks[rank];
+    EXPECT_EQ(got.size(), want.size()) << incident.file << " rank " << rank;
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      ASSERT_EQ(got[i], want[i]) << incident.file << " rank " << rank << " event " << i
+                                 << "\n  fresh:     " << describe_event(got[i])
+                                 << "\n  committed: " << describe_event(want[i]);
+    }
   }
 }
 

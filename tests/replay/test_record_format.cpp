@@ -64,7 +64,11 @@ TEST(BurstCodec, RoundTrips) {
   burst.retries = 3;
   burst.samples.push_back({0.001, 0.0015, 0.002});
   burst.samples.push_back({0.003, 0.0035, 0.004});
-  const std::vector<double> encoded = encode_burst(burst);
+  const Event encoded = encode_burst(burst, /*partner=*/3, /*client=*/true, /*time=*/0.5);
+  EXPECT_EQ(encoded.kind, EventKind::kBurst);
+  EXPECT_EQ(encoded.peer, 3);
+  EXPECT_EQ(encoded.flags, 1);
+  EXPECT_EQ(encoded.digest, payload_digest(encoded.values));
   const simmpi::BurstResult decoded = decode_burst(encoded);
   EXPECT_EQ(decoded.requested, burst.requested);
   EXPECT_EQ(decoded.lost, burst.lost);

@@ -4,6 +4,7 @@
 // Also covers divergence detection and the provenance guards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,6 +88,65 @@ TEST(ReplayRank, TamperedRecordingRaisesDivergence) {
   }
 }
 
+// One tamper per event kind, each of a field the replayed rank itself
+// determines, on the first event of that kind: the divergence must name the
+// tampered event itself — the replay checks an event before consuming it.
+// The 1e-9 s time tampers must also print both times in full (%.17g, via
+// format_time), never as two identical-looking six-decimal strings.
+struct Tamper {
+  const char* name;
+  const char* scenario;
+  EventKind kind;
+  void (*mutate)(Event&);
+};
+
+const Tamper kTampers[] = {
+    {"send_time", "micro4", EventKind::kSend, [](Event& ev) { ev.time += 1e-9; }},
+    {"recv_tag", "micro4", EventKind::kRecv, [](Event& ev) { ev.tag += 1; }},
+    {"burst_role", "micro4", EventKind::kBurst, [](Event& ev) { ev.flags ^= 1U; }},
+    {"clock_read_time", "micro4", EventKind::kClockRead, [](Event& ev) { ev.time += 1e-9; }},
+    {"membership_direction", "micro4-churn", EventKind::kMembership,
+     [](Event& ev) { ev.flags ^= 1U; }},
+};
+
+class TamperedRecording : public ::testing::TestWithParam<Tamper> {};
+
+TEST_P(TamperedRecording, DivergesAtTheTamperedEvent) {
+  const Tamper& tamper = GetParam();
+  Captured c = capture(tamper.scenario, 17);
+  RecordedWorld& world =
+      const_cast<RecordedWorld&>(c.recorder.world(0));  // tests may tamper
+  for (int rank = 0; rank < world.info.nranks; ++rank) {
+    std::vector<Event>& events = world.ranks[static_cast<std::size_t>(rank)];
+    const auto it = std::find_if(events.begin(), events.end(),
+                                 [&](const Event& ev) { return ev.kind == tamper.kind; });
+    if (it == events.end()) continue;
+    const auto index = static_cast<std::size_t>(it - events.begin());
+    const double recorded_time = it->time;
+    tamper.mutate(*it);
+    try {
+      replay_scenario_rank(find_scenario(tamper.scenario), world, rank);
+      FAIL() << "expected ReplayDivergence";
+    } catch (const ReplayDivergence& d) {
+      const std::string what = d.what();
+      EXPECT_EQ(d.rank(), rank);
+      EXPECT_EQ(d.event_index(), index) << what;
+      if (it->time != recorded_time) {
+        ASSERT_NE(format_time(recorded_time), format_time(it->time));
+        EXPECT_NE(what.find(format_time(recorded_time)), std::string::npos) << what;
+        EXPECT_NE(what.find(format_time(it->time)), std::string::npos) << what;
+      }
+    }
+    return;
+  }
+  FAIL() << "no rank of " << tamper.scenario << " records a " << to_string(tamper.kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, TamperedRecording, ::testing::ValuesIn(kTampers),
+                         [](const ::testing::TestParamInfo<Tamper>& info) {
+                           return std::string(info.param.name);
+                         });
+
 TEST(ReplayRank, WrongScenarioIsRejected) {
   const Captured c = capture("micro4", 17);
   EXPECT_THROW(replay_scenario_rank(find_scenario("ring8"), c.recorder.world(0), 0),
@@ -123,10 +183,11 @@ TEST(ReplayFeedUnit, StrictFifoAndExhaustion) {
   ASSERT_NE(feed.peek(), nullptr);
   EXPECT_EQ(feed.peek()->kind, EventKind::kClockRead);
   EXPECT_EQ(feed.remaining(), 1u);
-  feed.take();
+  feed.expect({.kind = EventKind::kClockRead, .at = 1.5});
+  EXPECT_EQ(decode_clock_read(feed.last()), 1.5000001);
   EXPECT_EQ(feed.peek(), nullptr);
   EXPECT_EQ(feed.consumed(), 1u);
-  EXPECT_THROW(feed.expect(EventKind::kRecv, 0), ReplayDivergence);
+  EXPECT_THROW(feed.expect({.kind = EventKind::kRecv, .peer = 0}), ReplayDivergence);
   EXPECT_THROW(ReplayFeed(world, 5), std::out_of_range);
 }
 

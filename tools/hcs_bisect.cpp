@@ -9,7 +9,6 @@
 // world, rank, event index, sim-time, the differing field and both sides.
 //
 // Exit codes: 0 no divergence, 1 divergence found, 2 usage or I/O error.
-#include <cstdio>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -17,18 +16,9 @@
 #include "replay/bisect.hpp"
 #include "replay/format.hpp"
 
-namespace {
-
-std::string fmt_time(double t) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", t);
-  return buf;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace hcs;
+  using replay::format_time;
   if (argc != 3) {
     std::cerr << "usage: hcs_bisect <a.hcsr> <b.hcsr>\n"
               << "  diffs two recordings and reports the first diverging event\n"
@@ -47,7 +37,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     std::cout << "first divergence: world " << d->world << " rank " << d->rank << " event "
-              << d->index << " at t=" << fmt_time(d->time) << " field=" << d->field << "\n"
+              << d->index << " at t=" << format_time(d->time) << " field=" << d->field << "\n"
               << "  (a=" << path_a << ", b=" << path_b << ")\n"
               << "  " << d->detail << "\n";
     return 1;
