@@ -23,6 +23,10 @@ std::string differing_field(const Event& a, const Event& b) {
   if (a.flags != b.flags) return "flags";
   if (a.bytes != b.bytes) return "bytes";
   if (a.time != b.time) return "time";
+  if (a.kind == EventKind::kSplit) {
+    if (a.aux0 != b.aux0) return "split-index";
+    if (a.digest != b.digest || a.values != b.values) return "split-members";
+  }
   if (a.aux0 != b.aux0 || a.aux1 != b.aux1) return "message-times";
   if (a.digest != b.digest || a.values != b.values) return "payload";
   return "unknown";
@@ -73,6 +77,16 @@ std::string describe_event(const Event& ev) {
     os << " role=" << ((ev.flags & 1U) != 0 ? "client" : "reference");
   }
   if (ev.kind == EventKind::kMembership) os << ((ev.flags & 1U) != 0 ? " up" : " down");
+  if (ev.kind == EventKind::kSplit) {
+    // The first few members identify the communicator; the digest covers all.
+    constexpr std::size_t kShown = 8;
+    os << " index=" << ev.aux0 << " members=[";
+    for (std::size_t i = 0; i < std::min(ev.values.size(), kShown); ++i) {
+      os << (i > 0 ? "," : "") << ev.values[i];
+    }
+    if (ev.values.size() > kShown) os << ",...";
+    os << "]";
+  }
   os << " time=" << format_time(ev.time) << " values=" << ev.values.size()
      << " digest=" << hex64(ev.digest);
   return os.str();

@@ -1,5 +1,7 @@
 #include "replay/format.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -111,10 +113,38 @@ struct Cursor {
   }
 };
 
-Event parse_event(Cursor& c, std::uint32_t version) {
+// A kSplit outcome must name a communicator that exists in this World: its
+// members distinct world ranks, the caller's index one of them or -1.
+void check_split(const Event& ev, std::int32_t nranks, std::size_t at) {
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error("recording: split event at byte " + std::to_string(at) + ": " +
+                             what);
+  };
+  const auto n = static_cast<double>(ev.values.size());
+  if (!(ev.aux0 >= -1.0 && ev.aux0 < n) || ev.aux0 != std::floor(ev.aux0)) {
+    fail("index " + format_time(ev.aux0) + " outside [-1, " + std::to_string(ev.values.size()) +
+         ")");
+  }
+  std::vector<int> members;
+  members.reserve(ev.values.size());
+  for (const double v : ev.values) {
+    if (!(v >= 0.0 && v < static_cast<double>(nranks)) || v != std::floor(v)) {
+      fail("member " + format_time(v) + " is not a world rank in [0, " +
+           std::to_string(nranks) + ")");
+    }
+    members.push_back(static_cast<int>(v));
+  }
+  std::sort(members.begin(), members.end());
+  const auto dup = std::adjacent_find(members.begin(), members.end());
+  if (dup != members.end()) fail("member " + std::to_string(*dup) + " duplicated");
+}
+
+Event parse_event(Cursor& c, std::uint32_t version, std::int32_t nranks) {
   Event ev;
+  const std::size_t at = c.pos;
   const std::uint8_t kind = c.u8();
-  const std::uint8_t max_kind = version >= 2 ? 6 : 5;  // v2 adds kMembership
+  // v2 adds kMembership, v3 kSplit.
+  const std::uint8_t max_kind = version >= 3 ? 7 : version >= 2 ? 6 : 5;
   if (kind < 1 || kind > max_kind) {
     throw std::runtime_error("recording: bad event kind " + std::to_string(kind) +
                              " for format version " + std::to_string(version) +
@@ -133,6 +163,7 @@ Event parse_event(Cursor& c, std::uint32_t version) {
   c.need(static_cast<std::size_t>(nvalues) * 8);
   ev.values.reserve(nvalues);
   for (std::uint32_t i = 0; i < nvalues; ++i) ev.values.push_back(c.f64());
+  if (ev.kind == EventKind::kSplit) check_split(ev, nranks, at);
   return ev;
 }
 
@@ -206,6 +237,7 @@ Recording parse(const std::string& bytes) {
                                std::to_string(info.nranks) + " for " +
                                std::to_string(bytes.size() - c.pos) + " remaining bytes");
     }
+    const std::int32_t nranks = info.nranks;
     RecordedWorld world(std::move(info));
     for (auto& rank_events : world.ranks) {
       const std::uint64_t nevents = c.u64();
@@ -216,7 +248,9 @@ Recording parse(const std::string& bytes) {
                                  std::to_string(nevents));
       }
       rank_events.reserve(static_cast<std::size_t>(nevents));
-      for (std::uint64_t e = 0; e < nevents; ++e) rank_events.push_back(parse_event(c, version));
+      for (std::uint64_t e = 0; e < nevents; ++e) {
+        rank_events.push_back(parse_event(c, version, nranks));
+      }
     }
     const std::uint64_t total = c.u64();
     if (total != world.total_events()) {

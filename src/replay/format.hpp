@@ -2,7 +2,7 @@
 // the byte-level spec).
 //
 // Layout (all integers little-endian, doubles as IEEE-754 bit patterns):
-//   file   := magic "HCSR" | u32 version (1 or 2) | u32 nworlds | world*
+//   file   := magic "HCSR" | u32 version (1..3) | u32 nworlds | world*
 //   world  := u64 seed | i32 nranks | u64 fault_seed
 //           | str machine | str fault_plan | str label
 //           | rank* (nranks of them) | u64 total_events (integrity check)
@@ -17,9 +17,12 @@
 // and the CI bisect smoke step gate.
 //
 // Version history.  v1: event kinds 1..5.  v2: adds kMembership (kind 6,
-// churn epochs — docs/fault-injection.md); the event wire layout itself is
-// unchanged, so v1 files parse bit-exactly under a v2 reader (the committed
-// v1 incidents in tests/replay/incidents/ gate this back-compat).
+// churn epochs — docs/fault-injection.md).  v3: adds kSplit (kind 7, one
+// communicator-split outcome: the new communicator's world ranks and the
+// caller's index; parse() checks both).  The event wire layout itself is
+// unchanged, so older files parse bit-exactly under a newer reader (the
+// committed v1 and v2 incidents in tests/replay/incidents/ gate this
+// back-compat), and a kind a file's version does not define is rejected.
 #pragma once
 
 #include <string>
@@ -29,10 +32,10 @@
 
 namespace hcs::replay {
 
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
-/// Oldest version parse() still reads (v1 recordings carry no kMembership
-/// events but are otherwise identical on the wire).
+/// Oldest version parse() still reads (v1 recordings carry no kMembership or
+/// kSplit events but are otherwise identical on the wire).
 inline constexpr std::uint32_t kMinFormatVersion = 1;
 
 /// A recording loaded back from disk (or parsed from bytes).
@@ -44,7 +47,8 @@ struct Recording {
 std::string serialize(const Recorder& recorder);
 
 /// Parses bytes produced by serialize(); throws std::runtime_error naming
-/// the offset on any magic/version/bounds violation.
+/// the offset on any magic/version/bounds violation, and naming the field
+/// of a kSplit event whose index or members are malformed.
 Recording parse(const std::string& bytes);
 
 /// Writes serialize(recorder) to `path`; false (with errno untouched) when

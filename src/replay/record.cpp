@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 namespace hcs::replay {
 
@@ -13,6 +14,7 @@ const char* to_string(EventKind kind) {
     case EventKind::kBurst: return "burst";
     case EventKind::kClockRead: return "clock-read";
     case EventKind::kMembership: return "membership";
+    case EventKind::kSplit: return "split";
   }
   return "?";
 }
@@ -105,6 +107,27 @@ Event encode_membership(bool up, int incarnation, double time) {
 }
 
 bool is_departure(const Event& ev) { return ev.kind == EventKind::kMembership && ev.flags == 0; }
+
+// tag = color, aux0 = the caller's new index, values = the members' world
+// ranks.  A loaded recording's members are distinct in-range ranks and its
+// index lies in [-1, n): parse() rejects anything else.
+Event encode_split(const simmpi::SplitResult& result, int color, double time) {
+  Event ev{.kind = EventKind::kSplit, .tag = color, .time = time,
+           .aux0 = static_cast<double>(result.index)};
+  if (result.members) ev.values.assign(result.members->begin(), result.members->end());
+  ev.digest = payload_digest(ev.values);
+  return ev;
+}
+
+simmpi::SplitResult decode_split(const Event& ev) {
+  simmpi::SplitResult result{.members = nullptr, .index = static_cast<int>(ev.aux0)};
+  if (result.index < 0) return result;
+  auto members = std::make_shared<std::vector<int>>();
+  members->reserve(ev.values.size());
+  for (const double v : ev.values) members->push_back(static_cast<int>(v));
+  result.members = std::move(members);
+  return result;
+}
 
 std::string format_time(double t) {
   char buf[32];

@@ -4,7 +4,8 @@
 // transport-level observations a rank program makes: message sends (payload
 // digest only), receive completions (full payload, so a replay can feed
 // them back), receive timeouts, synthesized ping-pong bursts, direct clock
-// reads and, under churn, the rank's own departures and restarts.  Together
+// reads, communicator-split outcomes and, under churn, the rank's own
+// departures and restarts.  Together
 // these are exactly the inputs a rank's control flow depends on — replaying
 // them reproduces that rank bit-for-bit without simulating the rest of the
 // World (replay/feed.hpp).
@@ -41,6 +42,10 @@ enum class EventKind : std::uint8_t {
   // flags 0 = departure (the rank's program unwound via RankCrashed here),
   // flags 1 = restart (the churn supervisor brought incarnation aux0 up).
   kMembership = 6,   // aux0 = incarnation index (as a double)
+  // Format v3: the outcome of a communicator split.  tag = the caller's
+  // color, aux0 = its index in the new communicator (-1: color undefined),
+  // values = the new communicator's world ranks in new-rank order.
+  kSplit = 7,
 };
 
 const char* to_string(EventKind kind);
@@ -82,6 +87,8 @@ Event encode_clock_read(double value, double time);
 double decode_clock_read(const Event& ev);
 Event encode_membership(bool up, int incarnation, double time);
 bool is_departure(const Event& ev);  // a membership "down" marker
+Event encode_split(const simmpi::SplitResult& result, int color, double time);
+simmpi::SplitResult decode_split(const Event& ev);
 
 /// %.17g: round-trips every double, so two times that differ in the last ulp
 /// never print alike.  Every divergence message formats times with it.

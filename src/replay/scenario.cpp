@@ -110,6 +110,19 @@ std::vector<Scenario> build_scenarios() {
     all.push_back(std::move(s));
   }
   {
+    // Hierarchical incident: H2HCA's node split and leaders split record
+    // kSplit events (format v3), then HCA-3 runs among the 4 node leaders
+    // and clock propagation within each node.
+    Scenario s;
+    s.name = "micro16-h2hca";
+    s.description = "4 nodes x 4 ranks, H2HCA (HCA-3 top, clock propagation bottom)";
+    s.machine = topology::testbox(4, 4);
+    tune_clocks(s.machine);
+    s.sync_label = "top/hca3/60/skampi_offset/8/bottom/clockpropagation";
+    s.accuracy_exchanges = 8;
+    all.push_back(std::move(s));
+  }
+  {
     Scenario s;
     s.name = "titan-small-crash";
     s.description = "titan-small with a mid-sync crash of rank 3";

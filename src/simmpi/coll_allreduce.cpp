@@ -97,7 +97,9 @@ sim::Task<std::vector<double>> allreduce_ring(Comm& comm, std::vector<double> da
     std::vector<double> block(data.begin() + static_cast<std::ptrdiff_t>(slo),
                               data.begin() + static_cast<std::ptrdiff_t>(shi));
     // Phases 20000+ keep these tags disjoint from the reduce-scatter pass
-    // (whose phase equals the step index, < 16384) for any supported size.
+    // (phase = step <= p - 2) up to 20 001 ranks.  Above that the passes
+    // share phases and stay apart only by MPI's per-channel non-overtaking
+    // order; from 45 538 ranks on collective_tag refuses the phase.
     const std::int64_t tag = comm.collective_tag(20000 + step);
     co_await comm.send(right, tag, std::move(block), chunk_wire);
     std::vector<double> got =

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "simmpi/collectives.hpp"
+#include "util/vec.hpp"
 
 namespace hcs::simmpi {
 
@@ -70,8 +72,14 @@ std::int64_t Comm::user_tag(int tag) const {
 }
 
 std::int64_t Comm::collective_tag(int phase) const {
-  // (coll_seq << 16) ^ phase is injective for phase < 2^16; rounds/steps of
-  // every implemented algorithm stay below that (steps < world size <= 16k).
+  // (coll_seq << 16) ^ phase is injective only for phase in [0, 2^16); a
+  // larger phase would XOR into the sequence bits and alias a later
+  // collective's tags.  Round-indexed algorithms stay far below the bound;
+  // step-indexed ones (ring, pairwise) reach it near 2^16 ranks.
+  if (phase < 0 || phase >= (1 << 16)) {
+    throw std::length_error("Comm::collective_tag: phase " + std::to_string(phase) +
+                            " outside [0, 65536)");
+  }
   return static_cast<std::int64_t>((context_ << 24) ^ (coll_seq_ << 16) ^
                                    static_cast<std::uint64_t>(phase));
 }
@@ -157,21 +165,35 @@ sim::Task<std::vector<double>> Comm::split_exchange_ft(std::vector<double> mine)
 }
 
 sim::Task<Comm> Comm::split(int color, int key) {
-  // Exchange (color, key) with every member, then build the group locally —
-  // the standard MPI_Comm_split recipe.  Under the crash model the exchange
-  // is fault-tolerant and dead ranks simply drop out of the new
-  // communicator: because members stay sorted, the lowest live rank of each
-  // split becomes its rank 0 — deterministic leader election for free.
-  const std::vector<double> mine = {static_cast<double>(color), static_cast<double>(key)};
-  std::vector<double> all;
-  if (world_->failure_detector() && size() > 1) {
-    all = co_await split_exchange_ft(mine);
+  // The standard MPI_Comm_split recipe: exchange (color, key) with every
+  // member, then order each color by (key, rank).  Outside the crash model
+  // the values travel through the World's split board and the allgather
+  // carries no payload; under it the exchange is fault-tolerant and dead
+  // ranks simply drop out of the new communicator: because members stay
+  // sorted, the lowest live rank of each split becomes its rank 0 —
+  // deterministic leader election for free.
+  SplitResult mine;
+  if (world_->failure_detector()) {
+    const std::vector<double> all = co_await split_exchange_ft(util::vec(color, key));
+    mine = split_group_ft(all, color);
   } else {
-    all = co_await allgather(*this, mine);
+    const World::SplitId id{context_, split_seq_};
+    world_->split_post(id, size(), my_index_, my_world_rank(), color, key);
+    co_await allgather(*this, std::vector<double>(), AllgatherAlgo::kBruck, 16);
+    mine = co_await world_->split_result(my_world_rank(), id, my_index_, color);
   }
   ++split_seq_;
   if (color == kUndefined) co_return Comm{};
+  const std::uint64_t new_context =
+      mix64(context_ ^ (split_seq_ * 0x9e3779b97f4a7c15ULL) ^
+            (static_cast<std::uint64_t>(color) + 0x165667b19e3779f9ULL));
+  co_return Comm(world_, std::move(mine.members), mine.index, new_context);
+}
 
+// The crash-model group: the members whose (color, key) arrived, in (key,
+// rank) order.  A dead or unreachable rank's NaN slot excludes it.
+SplitResult Comm::split_group_ft(const std::vector<double>& all, int color) const {
+  if (color == kUndefined) return {};
   struct Entry {
     int key;
     int comm_rank;
@@ -179,7 +201,7 @@ sim::Task<Comm> Comm::split(int color, int key) {
   std::vector<Entry> group;
   for (int r = 0; r < size(); ++r) {
     const double rc = all[static_cast<std::size_t>(2 * r)];
-    if (std::isnan(rc)) continue;  // dead or unreachable: excluded from the split
+    if (std::isnan(rc)) continue;
     const int r_color = static_cast<int>(rc);
     const int r_key = static_cast<int>(all[static_cast<std::size_t>(2 * r + 1)]);
     if (r_color == color) group.push_back(Entry{r_key, r});
@@ -195,10 +217,7 @@ sim::Task<Comm> Comm::split(int color, int key) {
     if (e.comm_rank == my_index_) my_new_index = static_cast<int>(members->size());
     members->push_back(world_rank(e.comm_rank));
   }
-  const std::uint64_t new_context =
-      mix64(context_ ^ (split_seq_ * 0x9e3779b97f4a7c15ULL) ^
-            (static_cast<std::uint64_t>(color) + 0x165667b19e3779f9ULL));
-  co_return Comm(world_, std::move(members), my_new_index, new_context);
+  return {std::move(members), my_new_index};
 }
 
 sim::Task<Comm> Comm::split_shared_node() {

@@ -7,9 +7,10 @@
 // Comm objects are cheap per-rank values.  The member list maps communicator
 // ranks to world ranks; a null list means the identity (world_rank(i) == i),
 // so the world communicator and every all-up view carry no list at all.
-// A split communicator's list is built once by each member and shared by
-// that member's copies; view communicators share the World's per-epoch list
-// across all ranks (World::view_members).
+// A split communicator's list is built once per color by the World's split
+// board and shared by every member of that color (World::split_result);
+// view communicators share the World's per-epoch list across all ranks
+// (World::view_members).
 #pragma once
 
 #include <cstdint>
@@ -92,9 +93,17 @@ class Comm {
   sim::Task<BurstResult> pingpong_burst(int partner, bool i_am_client, vclock::Clock& clock,
                                         int nexchanges, std::int64_t bytes = 16);
 
-  /// Splits by color/key.  Collective over all members (internally performs
-  /// an allgather, so communicator creation has a realistic cost — the paper
-  /// deliberately includes it in the hierarchical sync duration).
+  /// Splits by color/key.  Collective over all members: communicator
+  /// creation has a realistic cost, which the paper deliberately includes in
+  /// the hierarchical sync duration.  Outside the crash model every member
+  /// posts its (color, key) on a World split board and runs a payload-free
+  /// Bruck allgather with the wire size of the 2-double exchange; once that
+  /// completes every member has posted, and each color's member list is
+  /// built once and shared (World::split_result, one kSplit event when
+  /// recording).  No rank holds the other members' values, so a split
+  /// costs O(p) memory per World.  Under the crash model the values travel
+  /// in a direct fault-tolerant exchange instead, and members that never
+  /// deliver theirs drop out.
   sim::Task<Comm> split(int color, int key);
 
   /// MPI_COMM_TYPE_SHARED analogue: one communicator per node.
@@ -119,6 +128,7 @@ class Comm {
  private:
   std::int64_t user_tag(int tag) const;
   sim::Task<std::vector<double>> split_exchange_ft(std::vector<double> mine);
+  SplitResult split_group_ft(const std::vector<double>& all, int color) const;
 
   World* world_ = nullptr;
   std::shared_ptr<const std::vector<int>> members_;  // null: identity

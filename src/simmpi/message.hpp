@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -48,6 +49,15 @@ struct BurstResult {
   int requested = 0;  // exchanges asked for
   int lost = 0;       // exchanges abandoned after the per-exchange retry budget
   int retries = 0;    // timed-out attempts that were retried
+};
+
+/// One member's outcome of a communicator split (World::split_result): the
+/// new communicator's world ranks in new-rank order, one list shared by every
+/// member of that color, and the caller's index in it.  A caller whose color
+/// was Comm::kUndefined gets no list and index -1.
+struct SplitResult {
+  std::shared_ptr<const std::vector<int>> members;
+  int index = -1;
 };
 
 }  // namespace hcs::simmpi

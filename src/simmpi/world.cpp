@@ -4,6 +4,7 @@
 #include <atomic>
 #include <barrier>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -1121,6 +1122,85 @@ void World::drain_burst_halves() {
     h.st->first_handle = nullptr;
   }
   sim::set_current_shard(0);
+}
+
+// ------------------------------------------------------ communicator split --
+//
+// Comm::split's (color, key) exchange goes through a board per split instead
+// of the allgather payload, so no rank ever holds the 2p values; the
+// allgather still runs, with empty payloads, to model the exchange's cost.
+
+void World::split_post(SplitId id, int members, int my_index, int world_rank, int color,
+                       int key) {
+  if (replay_feed_) return;  // the replayed rank's outcome comes from the log
+  const std::lock_guard<std::mutex> lock(split_mutex_);
+  SplitBoard& board = split_boards_[id];
+  if (board.entries.empty()) {
+    board.entries.resize(static_cast<std::size_t>(members));
+    board.unread = members;
+  }
+  board.entries[static_cast<std::size_t>(my_index)] = {color, key, world_rank};
+  ++board.posted;
+}
+
+// One O(p log p) sort by (color, key, parent rank) — MPI_Comm_split's order —
+// then one shared list per color.  Undefined-color members get none.
+void World::build_split_outcomes(SplitBoard& board) {
+  const auto& entries = board.entries;
+  std::vector<int> order(entries.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const SplitBoard::Entry& ea = entries[static_cast<std::size_t>(a)];
+    const SplitBoard::Entry& eb = entries[static_cast<std::size_t>(b)];
+    if (ea.color != eb.color) return ea.color < eb.color;
+    if (ea.key != eb.key) return ea.key < eb.key;
+    return a < b;
+  });
+  board.outcomes.resize(entries.size());
+  std::shared_ptr<std::vector<int>> list;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const auto member = static_cast<std::size_t>(order[i]);
+    const int color = entries[member].color;
+    if (color == Comm::kUndefined) continue;
+    if (i == 0 || entries[static_cast<std::size_t>(order[i - 1])].color != color) {
+      list = std::make_shared<std::vector<int>>();
+    }
+    board.outcomes[member] = {list, static_cast<int>(list->size())};
+    list->push_back(entries[member].world_rank);
+  }
+}
+
+sim::Task<SplitResult> World::split_result(int me, SplitId id, int my_index, int color) {
+  const sim::Time now = sim_of(me).now();
+  if (replay_feed_) {
+    co_await replay_step(me, {.kind = replay::EventKind::kSplit, .tag = color, .at = now});
+    SplitResult recorded = replay::decode_split(replay_feed_->last());
+    const bool placed =
+        recorded.index < 0
+            ? color == Comm::kUndefined
+            : color != Comm::kUndefined &&
+                  static_cast<std::size_t>(recorded.index) < recorded.members->size() &&
+                  (*recorded.members)[static_cast<std::size_t>(recorded.index)] == me;
+    if (!placed) replay_feed_->diverge("recorded split outcome does not place this rank");
+    co_return recorded;
+  }
+  SplitResult result;
+  {
+    const std::lock_guard<std::mutex> lock(split_mutex_);
+    const auto it = split_boards_.find(id);
+    if (it == split_boards_.end() ||
+        it->second.posted != static_cast<int>(it->second.entries.size())) {
+      throw std::logic_error("Comm::split: board read before every member posted");
+    }
+    SplitBoard& board = it->second;
+    if (board.outcomes.empty()) build_split_outcomes(board);
+    result = board.outcomes[static_cast<std::size_t>(my_index)];
+    if (--board.unread == 0) split_boards_.erase(it);
+  }
+  if (record_section_ != nullptr) {
+    record_section_->append(me, replay::encode_split(result, color, now));
+  }
+  co_return result;
 }
 
 // -------------------------------------------------- record / replay --------

@@ -21,19 +21,22 @@
 //
 // Record/replay (docs/record-replay.md) sits at the same transport surface:
 // every rank-visible observation (send, receive completion or timeout,
-// burst, hooked clock read, membership marker) is one encode_* call into
-// the installed Recorder, and in single-rank replay (attach_replay) every
-// blocking operation is answered by one prologue, replay_step, while sends
-// and clock reads are verified by ReplayFeed::expect.  The .hcsr event
-// layout itself lives only in src/replay/record.hpp.
+// burst, hooked clock read, split outcome, membership marker) is one
+// encode_* call into the installed Recorder, and in single-rank replay
+// (attach_replay) every blocking operation is answered by one prologue,
+// replay_step, while sends and clock reads are verified by
+// ReplayFeed::expect.  The .hcsr event layout itself lives only in
+// src/replay/record.hpp.
 #pragma once
 
+#include <compare>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -243,6 +246,29 @@ class World {
                                         vclock::Clock& my_clock, int nexchanges,
                                         std::int64_t bytes);
 
+  // --- communicator split (Comm::split) ---
+
+  /// One split of one communicator: the parent's context and its split
+  /// sequence number, equal on every member.
+  struct SplitId {
+    std::uint64_t context = 0;
+    std::uint64_t seq = 0;
+    auto operator<=>(const SplitId&) const = default;
+  };
+
+  /// Posts member `my_index`'s (color, key) on split `id`'s board, which the
+  /// first poster creates for `members` members.  Called from every shard.
+  void split_post(SplitId id, int members, int my_index, int world_rank, int color, int key);
+
+  /// The outcome of split `id` for its member `my_index` (world rank `me`).
+  /// Call it once the split's allgather has completed on the caller: each
+  /// member's block reached the caller through a chain of messages sent after
+  /// that member posted, so the board is full.  The first reader sorts the
+  /// board once and builds one member list per color, shared by every member
+  /// of that color; the last reader frees the board.  Recorded as one kSplit
+  /// event; single-rank replay answers it from the log instead.
+  sim::Task<SplitResult> split_result(int me, SplitId id, int my_index, int color);
+
   // --- record / replay (docs/record-replay.md) ---
 
   /// Switches this World into single-rank replay mode: launch() spawns only
@@ -270,6 +296,20 @@ class World {
     std::map<std::pair<int, std::uint64_t>, Message> held;
   };
   struct BurstState;
+
+  /// Every member's (color, key) for one split, by parent communicator rank.
+  struct SplitBoard {
+    struct Entry {
+      int color = 0;
+      int key = 0;
+      int world_rank = -1;
+    };
+    std::vector<Entry> entries;
+    int posted = 0;
+    int unread = 0;  // members yet to read; the last one frees the board
+    std::vector<SplitResult> outcomes;  // by parent rank, built by the first reader
+  };
+  static void build_split_outcomes(SplitBoard& board);
 
   // Adapter handed to the active tracer so spans recorded anywhere in the
   // process are stamped with the recording shard's simulated time.
@@ -391,6 +431,9 @@ class World {
   std::vector<std::unordered_map<int, std::uint64_t>> send_seq_;
   // Per membership epoch: the up ranks, null when all are up (view_members).
   std::vector<std::shared_ptr<const std::vector<int>>> view_members_;
+  // Open split boards (split_post / split_result), written from every shard.
+  std::mutex split_mutex_;
+  std::map<SplitId, SplitBoard> split_boards_;
 
   // Observability: the parent tracer/registry are whatever was installed on
   // the constructing thread.  When sharded, each shard gets a private tracer

@@ -4,7 +4,9 @@
 // event with rank and sim-time.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "replay/bisect.hpp"
@@ -106,6 +108,32 @@ TEST(Bisect, WorldCountMismatch) {
   const auto d = first_divergence(a, b);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->rank, -1);
+}
+
+// A split outcome prints its caller's index and the first members; two
+// outcomes that differ only in their members are reported as such.
+TEST(Bisect, DescribesSplitOutcomes) {
+  const std::vector<int> members = {4, 0, 12, 8, 1, 2, 3, 5, 6};
+  const Event ev = encode_split(
+      {std::make_shared<const std::vector<int>>(members), 1}, /*color=*/2, /*time=*/0.25);
+  const std::string text = describe_event(ev);
+  EXPECT_NE(text.find("split peer=-1 tag=2 index=1 members=[4,0,12,8,1,2,3,5,...]"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("values=9"), std::string::npos) << text;
+
+  Recording a = two_rank_recording();
+  a.worlds[0].append(1, ev);
+  Recording b = two_rank_recording();
+  std::vector<int> swapped = members;
+  std::swap(swapped[0], swapped[1]);
+  b.worlds[0].append(1, encode_split({std::make_shared<const std::vector<int>>(swapped), 1},
+                                     /*color=*/2, /*time=*/0.25));
+  const auto d = first_divergence(a, b);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->rank, 1);
+  EXPECT_EQ(d->index, 2u);
+  EXPECT_EQ(d->field, "split-members");
 }
 
 // The acceptance case (ISSUE 8): record the same scenario twice, the second

@@ -19,16 +19,18 @@ namespace hcs::replay {
 namespace {
 
 struct Incident {
-  const char* file;      // basename under tests/replay/incidents/
-  const char* scenario;  // registered scenario name
-  std::uint64_t seed;    // seed the incident was captured with
+  const char* file;       // basename under tests/replay/incidents/
+  const char* scenario;   // registered scenario name
+  std::uint64_t seed;     // seed the incident was captured with
+  std::uint32_t version;  // .hcsr format version it was committed in
 };
 
 constexpr Incident kIncidents[] = {
-    {"micro4-crash-seed42", "micro4-crash", 42},
-    {"micro4-drop-seed7", "micro4-drop", 7},
-    {"micro4-step-seed13", "micro4-step", 13},
-    {"micro4-churn-seed42", "micro4-churn", 42},
+    {"micro4-crash-seed42", "micro4-crash", 42, 1},
+    {"micro4-drop-seed7", "micro4-drop", 7, 1},
+    {"micro4-step-seed13", "micro4-step", 13, 1},
+    {"micro4-churn-seed42", "micro4-churn", 42, 2},
+    {"micro16-h2hca-seed42", "micro16-h2hca", 42, 3},
 };
 
 std::string incident_path(const std::string& base, const char* ext) {
@@ -69,8 +71,8 @@ TEST_P(IncidentSuite, EveryRankReplaysBitExactly) {
 
 // Format back-compat: the crash/drop/step incidents were committed as v1
 // recordings and must keep parsing (and, per EveryRankReplaysBitExactly,
-// replaying bit-exactly) under the v2 reader; churn incidents need v2 for
-// their kMembership events.
+// replaying bit-exactly) under the current reader; the churn incident needs
+// v2 for its kMembership events, the H2HCA incident v3 for its kSplit ones.
 TEST_P(IncidentSuite, HeaderVersionIsSupportedAndAsCommitted) {
   const Incident& incident = GetParam();
   std::ifstream in(incident_path(incident.file, ".hcsr"), std::ios::binary);
@@ -85,8 +87,7 @@ TEST_P(IncidentSuite, HeaderVersionIsSupportedAndAsCommitted) {
   }
   EXPECT_GE(version, kMinFormatVersion);
   EXPECT_LE(version, kFormatVersion);
-  const bool churn = std::string(incident.scenario).find("churn") != std::string::npos;
-  EXPECT_EQ(version, churn ? 2u : 1u) << incident.file;
+  EXPECT_EQ(version, incident.version) << incident.file;
 }
 
 TEST_P(IncidentSuite, SidecarRoundTripsThroughParseOutcome) {
@@ -114,8 +115,8 @@ TEST_P(IncidentSuite, FreshRunStillMatchesSidecar) {
 // Re-recording the scenario from scratch must reproduce the committed event
 // streams exactly — pins the record side (every field of every event) across
 // commits, where FreshRunStillMatchesSidecar pins only the outcomes.
-// Compared in memory: the v1 incidents differ from a fresh v2 file only in
-// the header's version field.
+// Compared in memory: the v1 and v2 incidents differ from a fresh v3 file
+// only in the header's version field.
 TEST_P(IncidentSuite, FreshRecordingMatchesCommitted) {
   const Incident& incident = GetParam();
   const Recording committed = load(incident_path(incident.file, ".hcsr"));

@@ -3,7 +3,9 @@
 // (docs/record-replay.md has the byte-level spec).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -176,6 +178,69 @@ TEST(Format, RejectsRankCountBeyondRemainingBytes) {
   for (int s = 0; s < 3; ++s) append_u32(small, 0);
   for (int part = 0; part < 3; ++part) append_u64(small, 0);  // two ranks + trailer
   EXPECT_EQ(parse(small).worlds.at(0).ranks.size(), 2u);
+}
+
+TEST(SplitCodec, RoundTrips) {
+  const simmpi::SplitResult split{std::make_shared<const std::vector<int>>(
+                                      std::vector<int>{4, 0, 12}),
+                                  1};
+  const Event encoded = encode_split(split, /*color=*/2, /*time=*/0.25);
+  EXPECT_EQ(encoded.kind, EventKind::kSplit);
+  EXPECT_EQ(encoded.tag, 2);
+  EXPECT_EQ(encoded.aux0, 1.0);
+  EXPECT_EQ(encoded.digest, payload_digest(encoded.values));
+  const simmpi::SplitResult decoded = decode_split(encoded);
+  ASSERT_NE(decoded.members, nullptr);
+  EXPECT_EQ(*decoded.members, *split.members);
+  EXPECT_EQ(decoded.index, 1);
+  const simmpi::SplitResult undefined =
+      decode_split(encode_split({}, /*color=*/-1, /*time=*/0.5));
+  EXPECT_EQ(undefined.members, nullptr);
+  EXPECT_EQ(undefined.index, -1);
+}
+
+// A one-world, four-rank recording whose rank 0 logged one split outcome.
+std::string split_recording(double index, std::vector<double> members) {
+  Recorder recorder;
+  WorldInfo info;
+  info.nranks = 4;
+  RecordedWorld& world = recorder.begin_world(std::move(info));
+  Event ev{.kind = EventKind::kSplit, .time = 0.5, .aux0 = index};
+  ev.digest = payload_digest(members);
+  ev.values = std::move(members);
+  world.append(0, std::move(ev));
+  return serialize(recorder);
+}
+
+TEST(Format, SplitEventsParse) {
+  EXPECT_EQ(parse(split_recording(2, {3, 0, 1})).worlds.at(0).ranks.at(0).at(0).aux0, 2.0);
+  EXPECT_NO_THROW(parse(split_recording(-1, {})));
+  EXPECT_NO_THROW(parse(split_recording(-1, {2, 1})));
+}
+
+// kSplit is kind 7, which v1 and v2 files do not define.
+TEST(Format, RejectsSplitEventInOlderVersions) {
+  for (const char version : {1, 2}) {
+    std::string bytes = split_recording(0, {1});
+    bytes[4] = version;
+    expect_rejected_naming(bytes, "bad event kind 7");
+  }
+}
+
+TEST(Format, RejectsSplitIndexOutsideItsMembers) {
+  expect_rejected_naming(split_recording(3, {0, 1, 2}), "index");
+  expect_rejected_naming(split_recording(-2, {0, 1, 2}), "index");
+  expect_rejected_naming(split_recording(0, {}), "index");
+  expect_rejected_naming(split_recording(0.5, {0, 1}), "index");
+  expect_rejected_naming(split_recording(std::nan(""), {0, 1}), "index");
+}
+
+TEST(Format, RejectsSplitMemberThatIsNotAWorldRank) {
+  expect_rejected_naming(split_recording(0, {0, 1.5}), "member");
+  expect_rejected_naming(split_recording(0, {0, 4}), "member");
+  expect_rejected_naming(split_recording(0, {-1, 0}), "member");
+  expect_rejected_naming(split_recording(0, {0, std::nan("")}), "member");
+  expect_rejected_naming(split_recording(1, {2, 0, 2}), "member 2 duplicated");
 }
 
 TEST(Recorder, AbsorbMovesWorldsInOrder) {

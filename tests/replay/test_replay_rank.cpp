@@ -107,6 +107,7 @@ const Tamper kTampers[] = {
     {"clock_read_time", "micro4", EventKind::kClockRead, [](Event& ev) { ev.time += 1e-9; }},
     {"membership_direction", "micro4-churn", EventKind::kMembership,
      [](Event& ev) { ev.flags ^= 1U; }},
+    {"split_color", "micro16-h2hca", EventKind::kSplit, [](Event& ev) { ev.tag += 1; }},
 };
 
 class TamperedRecording : public ::testing::TestWithParam<Tamper> {};

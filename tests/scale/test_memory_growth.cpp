@@ -1,11 +1,12 @@
 // Complexity-regression gate: a World's peak heap footprint must grow
 // linearly with its rank count.  Every allocation made through the global
 // operator new is counted (the replacement below forwards to malloc/free, so
-// sanitizers still see each block); a Titan World runs the same ring
-// exchange at 1 024 and at 4 096 ranks, and the peak live bytes may grow by
-// at most 4.5x for the 4x rank count.  A per-rank O(p) structure — the p^2
-// member lists, channel tables and view lists this gate was written against
-// — shows up as a ~16x ratio.
+// sanitizers still see each block); a Titan World runs the same program — a
+// ring exchange, or an H2HCA sync with its two communicator splits — at
+// 1 024 and at 4 096 ranks, and the peak live bytes may grow by at most 4.5x
+// for the 4x rank count.  A per-rank O(p) structure — the p^2 member lists,
+// channel tables, view lists and split exchange buffers this gate was
+// written against — shows up as a ~10-16x ratio.
 //
 // Every World runs in a forked child: the coroutine frame arena keeps its
 // slabs until process exit, so a World run earlier in the same process
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "clocksync/factory.hpp"
 #include "fault/fault_plan.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/world.hpp"
@@ -92,18 +94,27 @@ sim::Task<void> view_ring(simmpi::RankCtx& ctx) {
   co_await ring_exchange(simmpi::Comm::view_comm(ctx.world(), ctx.rank(), kViewAt), 2);
 }
 
+// H2HCA as the paper runs it: a node split and a leaders split inside the
+// sync, HCA-3 among the node leaders, clock propagation within each node.
+sim::Task<void> h2hca_sync(simmpi::RankCtx& ctx) {
+  const auto sync = clocksync::make_sync("top/hca3/10/skampi_offset/4/bottom/clockpropagation");
+  co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+}
+
+enum class Program { kRing, kViewRing, kH2hca };
+
 // Peak live heap bytes, above those live before, while one World runs.
-std::int64_t peak_bytes(int nodes, const fault::FaultPlan& plan, bool views) {
+std::int64_t peak_bytes(int nodes, const fault::FaultPlan& plan, Program program) {
   const topology::MachineConfig machine = topology::titan().with_nodes(nodes);
   const std::int64_t base = g_live.load();
   g_peak.store(base);
   {
     simmpi::World world(machine, 7, plan, 1);
     world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
-      if (views) {
-        co_await view_ring(ctx);
-      } else {
-        co_await ring_exchange(ctx.comm_world(), 2);
+      switch (program) {
+        case Program::kRing: co_await ring_exchange(ctx.comm_world(), 2); break;
+        case Program::kViewRing: co_await view_ring(ctx); break;
+        case Program::kH2hca: co_await h2hca_sync(ctx); break;
       }
     });
   }
@@ -111,7 +122,7 @@ std::int64_t peak_bytes(int nodes, const fault::FaultPlan& plan, bool views) {
 }
 
 // peak_bytes in a forked child (fresh frame arena); -1 if the child failed.
-std::int64_t peak_bytes_in_child(int nodes, const fault::FaultPlan& plan, bool views) {
+std::int64_t peak_bytes_in_child(int nodes, const fault::FaultPlan& plan, Program program) {
   int fds[2] = {-1, -1};
   if (pipe(fds) != 0) return -1;
   const pid_t pid = fork();
@@ -119,7 +130,7 @@ std::int64_t peak_bytes_in_child(int nodes, const fault::FaultPlan& plan, bool v
     close(fds[0]);
     std::int64_t peak = -1;
     try {
-      peak = peak_bytes(nodes, plan, views);
+      peak = peak_bytes(nodes, plan, program);
     } catch (...) {
     }
     const bool sent = write(fds[1], &peak, sizeof(peak)) == static_cast<ssize_t>(sizeof(peak));
@@ -136,9 +147,9 @@ std::int64_t peak_bytes_in_child(int nodes, const fault::FaultPlan& plan, bool v
   return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? peak : -1;
 }
 
-void expect_linear_growth(const fault::FaultPlan& plan, bool views) {
-  const std::int64_t small = peak_bytes_in_child(64, plan, views);
-  const std::int64_t large = peak_bytes_in_child(256, plan, views);
+void expect_linear_growth(const fault::FaultPlan& plan, Program program) {
+  const std::int64_t small = peak_bytes_in_child(64, plan, program);
+  const std::int64_t large = peak_bytes_in_child(256, plan, program);
   ASSERT_GT(small, 0);
   ASSERT_GT(large, 0);
   const double ratio = static_cast<double>(large) / static_cast<double>(small);
@@ -148,22 +159,25 @@ void expect_linear_growth(const fault::FaultPlan& plan, bool views) {
                                << " at 4096 ranks (" << ratio << "x for 4x the ranks)";
 }
 
-TEST(MemoryGrowth, FaultFreeWorldIsLinear) { expect_linear_growth({}, false); }
+TEST(MemoryGrowth, FaultFreeWorldIsLinear) { expect_linear_growth({}, Program::kRing); }
 
 TEST(MemoryGrowth, NetworkFaultWorldIsLinear) {
   fault::FaultPlan plan;
   plan.add("drop:p=0.02");
   plan.add("duplicate:p=0.05");
   plan.add("reorder:p=0.05,delay=20us");
-  expect_linear_growth(plan, false);
+  expect_linear_growth(plan, Program::kRing);
 }
 
 TEST(MemoryGrowth, ChurnViewWorldIsLinear) {
   fault::FaultPlan plan;
   plan.add("leave:rank=5,at=1ms");
   plan.add("leave:rank=9,at=1.5ms");
-  expect_linear_growth(plan, true);
+  expect_linear_growth(plan, Program::kViewRing);
 }
+
+// Comm::split must not leave every rank holding all members' (color, key).
+TEST(MemoryGrowth, H2hcaSplitWorldIsLinear) { expect_linear_growth({}, Program::kH2hca); }
 
 }  // namespace
 }  // namespace hcs

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "util/vec.hpp"
 
 #include "simmpi/collectives.hpp"
@@ -125,6 +128,57 @@ TEST(CommSplit, WorldRankMappingPreserved) {
     EXPECT_EQ(node.my_world_rank(), ctx.rank());
     EXPECT_EQ(node.world_rank(node.rank()), ctx.rank());
   });
+}
+
+// The World's split board builds one list per color: every member of a color
+// holds the same list, in (key, parent rank) order, and no member of another
+// color or with an undefined color sees it.
+TEST(CommSplit, EachColorSharesOneList) {
+  World w(topology::testbox(2, 4), 7);  // 8 ranks
+  std::vector<const std::vector<int>*> lists(8, nullptr);
+  std::vector<std::vector<int>> members(8);
+  std::vector<std::shared_ptr<const std::vector<int>>> keep_alive;
+  w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+    const int color = ctx.rank() == 7 ? Comm::kUndefined : ctx.rank() % 2;
+    Comm sub = co_await ctx.comm_world().split(color, -(ctx.rank() / 2));
+    if (!sub.valid()) co_return;
+    lists[static_cast<std::size_t>(ctx.rank())] = sub.members();
+    members[static_cast<std::size_t>(ctx.rank())] = *sub.members();
+  });
+  EXPECT_EQ(members[0], (std::vector<int>{6, 4, 2, 0}));
+  EXPECT_EQ(members[1], (std::vector<int>{5, 3, 1}));
+  for (int r : {2, 4, 6}) EXPECT_EQ(lists[static_cast<std::size_t>(r)], lists[0]);
+  for (int r : {3, 5}) EXPECT_EQ(lists[static_cast<std::size_t>(r)], lists[1]);
+  EXPECT_NE(lists[0], lists[1]);
+  EXPECT_EQ(lists[7], nullptr);
+}
+
+// Split boards are written from every shard's thread; the outcome (member
+// lists, new ranks, and the simulated time the split completes at) is the
+// same for any shard count.
+TEST(CommSplit, ShardedSplitMatchesUnsharded) {
+  auto run = [](int shards) {
+    World w(topology::testbox(4, 4), 7, {}, shards);  // 16 ranks
+    std::vector<std::vector<int>> out(16);
+    w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+      Comm node = co_await ctx.comm_world().split_shared_node();
+      const int color = node.rank() == 0 ? 0 : Comm::kUndefined;
+      Comm leaders = co_await ctx.comm_world().split(color, ctx.rank());
+      std::vector<int>& mine = out[static_cast<std::size_t>(ctx.rank())];
+      mine = *node.members();
+      mine.push_back(node.rank());
+      if (leaders.valid()) {
+        mine.insert(mine.end(), leaders.members()->begin(), leaders.members()->end());
+      }
+      mine.push_back(static_cast<int>(ctx.sim().now() * 1e9));
+    });
+    return out;
+  };
+  const auto serial = run(1);
+  EXPECT_EQ(serial[5], (std::vector<int>{4, 5, 6, 7, 1, serial[5].back()}));
+  EXPECT_EQ(serial[4], (std::vector<int>{4, 5, 6, 7, 0, 0, 4, 8, 12, serial[4].back()}));
+  EXPECT_EQ(run(2), serial);
+  EXPECT_EQ(run(4), serial);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -42,6 +43,19 @@ TEST(CommState, WorldCommIsTheIdentity) {
 
 // An all-up view at epoch 0 is indistinguishable from the world communicator
 // (same context, so the same tags), with or without an armed churn plan.
+// (coll_seq << 16) ^ phase stays injective only below 2^16: a larger phase
+// would alias the next collective's tags, so it is refused.
+TEST(CommState, CollectivePhaseOutsideSixteenBitsThrows) {
+  World w(topology::testbox(1, 2), 7);
+  const Comm comm = Comm::world_comm(w, 0);
+  EXPECT_NO_THROW(comm.collective_tag(0));
+  EXPECT_NO_THROW(comm.collective_tag(65535));
+  EXPECT_THROW(comm.collective_tag(65536), std::length_error);
+  EXPECT_THROW(comm.collective_tag(20000 + 45536), std::length_error)
+      << "ring allreduce's allgather pass on 45 538 ranks";
+  EXPECT_THROW(comm.collective_tag(-1), std::length_error);
+}
+
 TEST(CommState, EpochZeroViewMatchesWorldComm) {
   fault::FaultPlan armed;
   armed.add("leave:rank=3,at=1e6s");
