@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
@@ -39,6 +38,15 @@ struct NetFaultDecision {
   bool duplicate = false;
   double extra_delay = 0.0;
   double delay_factor = 1.0;
+};
+
+/// One (src -> dst) channel's fault state, resolved once by
+/// FaultInjector::channel and reused for every message on it (a ping-pong
+/// burst resolves its two directions once per burst).  `stream` follows
+/// sim::ChannelStreams' reference-stability rule.
+struct FaultChannel {
+  sim::Rng* stream = nullptr;
+  double delay_factor = 1.0;  // product of the straggler rules hitting src or dst
 };
 
 /// One clock fault resolved against a concrete rank (applied by the World
@@ -142,9 +150,14 @@ class FaultInjector {
   /// Counts one message lost to a crash/crashlink (metrics + counter).
   void count_crash_drop();
 
-  /// Evaluates all network faults for one message hand-off.  `level` is the
-  /// simmpi::LinkLevel cast to int (NetLevel uses the same encoding).
-  NetFaultDecision on_message(int src, int dst, int level, sim::Time now);
+  /// The (src -> dst) channel's fault stream (created on first use) and
+  /// straggler factor, for on_message.
+  FaultChannel channel(int src, int dst);
+
+  /// Evaluates all network faults for one message hand-off on `ch`.
+  /// `level` is the simmpi::LinkLevel cast to int (NetLevel uses the same
+  /// encoding).
+  NetFaultDecision on_message(const FaultChannel& ch, int level, sim::Time now);
 
   /// Earliest time at or after `t` at which `rank` is outside every pause
   /// window (identity when no pause covers `t`).
@@ -211,11 +224,7 @@ class FaultInjector {
     return rule_level == NetLevel::kAll || static_cast<int>(rule_level) == level;
   }
 
-  /// The (src -> dst) channel's private fault stream, created on first use.
-  sim::Rng& channel_rng(int src, int dst);
-
-  std::uint64_t channel_seed_;
-  std::vector<std::map<int, sim::Rng>> channel_rngs_;  // [src][dst]
+  sim::ChannelStreams streams_;  // per (src -> dst) channel
   std::vector<ProbRule> drops_rules_;
   std::vector<ProbRule> dup_rules_;
   std::vector<ReorderRule> reorder_rules_;

@@ -123,6 +123,21 @@ std::vector<Scenario> build_scenarios() {
     all.push_back(std::move(s));
   }
   {
+    // Crash incident on the intra-node burst path: rank 5 crashes while
+    // parked as a burst's first arriver, then its same-node partner 4 parks
+    // waiting for it until the detector declares it dead, so both
+    // intra-node burst watchdogs fire.
+    Scenario s;
+    s.name = "micro16-crash";
+    s.description = "4 nodes x 4 ranks, HCA-3, rank 5 crashes during an intra-node burst";
+    s.machine = topology::testbox(4, 4);
+    tune_clocks(s.machine);
+    s.sync_label = "hca3/20/skampi_offset/8";
+    s.accuracy_exchanges = 8;
+    s.faults.add("crash:rank=5,at=1ms");
+    all.push_back(std::move(s));
+  }
+  {
     Scenario s;
     s.name = "titan-small-crash";
     s.description = "titan-small with a mid-sync crash of rank 3";

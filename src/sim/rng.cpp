@@ -1,5 +1,6 @@
 #include "sim/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace hcs::sim {
@@ -74,5 +75,24 @@ double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigm
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::split() { return Rng(next_u64()); }
+
+ChannelStreams::ChannelStreams(std::uint64_t seed, int senders)
+    : seed_(seed), senders_(static_cast<std::size_t>(senders > 0 ? senders : 0)) {}
+
+Rng& ChannelStreams::at(int src, int dst) {
+  std::vector<Channel>& channels = senders_[static_cast<std::size_t>(src)];
+  const auto it = std::lower_bound(channels.begin(), channels.end(), dst,
+                                   [](const Channel& c, int d) { return c.dst < d; });
+  if (it != channels.end() && it->dst == dst) return it->stream;
+  const auto pos = it - channels.begin();
+  if (channels.size() == channels.capacity()) {
+    // Grow by half rather than the library's usual doubling: the slack is
+    // paid once per rank.
+    channels.reserve(channels.size() + channels.size() / 2 + 1);
+  }
+  std::uint64_t state = seed_ ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src) + 1)) ^
+                        (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(dst) + 1));
+  return channels.insert(channels.begin() + pos, Channel{dst, Rng(splitmix64(state))})->stream;
+}
 
 }  // namespace hcs::sim

@@ -134,8 +134,8 @@ sim::Task<void> Comm::wait(SendRequest request) {
 
 sim::Task<BurstResult> Comm::pingpong_burst(int partner, bool i_am_client, vclock::Clock& clock,
                                             int nexchanges, std::int64_t bytes) {
-  co_return co_await world_->pingpong_burst(my_world_rank(), world_rank(partner), i_am_client,
-                                            clock, nexchanges, bytes);
+  return world_->pingpong_burst(my_world_rank(), world_rank(partner), i_am_client, clock,
+                                nexchanges, bytes);
 }
 
 // Direct (no-relay) member exchange used by split under the crash model:

@@ -89,7 +89,8 @@ class Comm {
   sim::Task<void> wait(SendRequest request);
 
   /// Pairwise ping-pong burst (see World::pingpong_burst); `partner` is a
-  /// communicator rank.
+  /// communicator rank.  A plain forwarder: the returned task is the World's
+  /// burst coroutine itself, so a burst costs one frame per side.
   sim::Task<BurstResult> pingpong_burst(int partner, bool i_am_client, vclock::Clock& clock,
                                         int nexchanges, std::int64_t bytes = 16);
 

@@ -12,8 +12,7 @@ NetworkModel::NetworkModel(const topology::ClusterTopology& topo,
     : topo_(&topo),
       params_(params),
       rng_(seed),
-      channel_seed_(seed ^ 0x6a09e667f3bcc909ULL),
-      channel_rngs_(static_cast<std::size_t>(topo.total_ranks())),
+      channels_(seed ^ 0x6a09e667f3bcc909ULL, topo.total_ranks()),
       egress_free_(static_cast<std::size_t>(topo.nodes()), 0.0),
       ingress_free_(static_cast<std::size_t>(topo.nodes()), 0.0) {
   shard_metrics_.push_back(resolve_metrics(trace::active_metrics()));
@@ -83,16 +82,15 @@ sim::Time NetworkModel::sample_delay(LinkLevel level, std::int64_t bytes, sim::R
 }
 
 sim::Rng& NetworkModel::channel_rng(int src_rank, int dst_rank) {
-  auto& per_src = channel_rngs_[static_cast<std::size_t>(src_rank)];
-  auto it = per_src.find(dst_rank);
-  if (it == per_src.end()) {
-    std::uint64_t state = channel_seed_ ^
-                          (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src_rank) + 1)) ^
-                          (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(dst_rank) + 1));
-    const std::uint64_t derived = sim::splitmix64(state);
-    it = per_src.emplace(dst_rank, sim::Rng(derived)).first;
-  }
-  return it->second;
+  return channels_.at(src_rank, dst_rank);
+}
+
+NetworkModel::Route NetworkModel::route(int src_rank, int dst_rank) {
+  Route r;
+  r.level = classify(src_rank, dst_rank);
+  r.stream = &channel_rng(src_rank, dst_rank);
+  if (injector_ && injector_->net_active()) r.fault = injector_->channel(src_rank, dst_rank);
+  return r;
 }
 
 double NetworkModel::expected_delay(LinkLevel level, std::int64_t bytes) const {
@@ -162,10 +160,11 @@ sim::Time NetworkModel::transit_time(int src_rank, int dst_rank, std::int64_t by
     return egress_to_wire(src_rank, dst_rank, bytes, depart_ready, nullptr);
   }
   const double rto = retransmit_timeout(LinkLevel::kInterNode, bytes);
+  const fault::FaultChannel channel = injector_->channel(src_rank, dst_rank);
   sim::Time ready = depart_ready;
   for (int attempt = 0;; ++attempt) {
-    fault::NetFaultDecision fd = injector_->on_message(
-        src_rank, dst_rank, static_cast<int>(LinkLevel::kInterNode), ready);
+    fault::NetFaultDecision fd =
+        injector_->on_message(channel, static_cast<int>(LinkLevel::kInterNode), ready);
     if (attempt >= kMaxRetransmits) fd.drop = false;
     const sim::Time port = egress_to_wire(src_rank, dst_rank, bytes, ready, &fd);
     if (!fd.drop) {
@@ -189,10 +188,10 @@ sim::Time NetworkModel::deliver_time(int src_rank, int dst_rank, std::int64_t by
     return deliver_attempt(level, src_rank, dst_rank, bytes, depart_ready, nullptr);
   }
   const double rto = retransmit_timeout(level, bytes);
+  const fault::FaultChannel channel = injector_->channel(src_rank, dst_rank);
   sim::Time ready = depart_ready;
   for (int attempt = 0;; ++attempt) {
-    fault::NetFaultDecision fd =
-        injector_->on_message(src_rank, dst_rank, static_cast<int>(level), ready);
+    fault::NetFaultDecision fd = injector_->on_message(channel, static_cast<int>(level), ready);
     // The last permitted attempt always goes through: the reliable transport
     // may degrade timing arbitrarily but never loses a message outright.
     if (attempt >= kMaxRetransmits) fd.drop = false;
@@ -211,20 +210,18 @@ sim::Time NetworkModel::deliver_time(int src_rank, int dst_rank, std::int64_t by
   }
 }
 
-sim::Time NetworkModel::deliver_time_uncontended(int src_rank, int dst_rank, std::int64_t bytes,
+sim::Time NetworkModel::deliver_time_uncontended(const Route& route, std::int64_t bytes,
                                                  sim::Time depart_ready,
                                                  fault::NetFaultDecision* decision) {
-  const LinkLevel level = classify(src_rank, dst_rank);
-  sim::Rng& rng = channel_rng(src_rank, dst_rank);
-  if (decision && injector_ && injector_->net_active()) {
-    *decision = injector_->on_message(src_rank, dst_rank, static_cast<int>(level), depart_ready);
-    const sim::Time d =
-        sample_delay(level, bytes, rng) * decision->delay_factor + decision->extra_delay;
-    if (!decision->drop) count_delivery(level, bytes, d);
+  if (decision && route.fault.stream) {
+    *decision = injector_->on_message(route.fault, static_cast<int>(route.level), depart_ready);
+    const sim::Time d = sample_delay(route.level, bytes, *route.stream) * decision->delay_factor +
+                        decision->extra_delay;
+    if (!decision->drop) count_delivery(route.level, bytes, d);
     return depart_ready + d;
   }
-  const sim::Time d = sample_delay(level, bytes, rng);
-  count_delivery(level, bytes, d);
+  const sim::Time d = sample_delay(route.level, bytes, *route.stream);
+  count_delivery(route.level, bytes, d);
   return depart_ready + d;
 }
 

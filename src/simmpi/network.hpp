@@ -14,10 +14,14 @@
 // deadlock the MPI layer.  The ping-pong burst fast path
 // (deliver_time_uncontended) instead reports the raw decision to the caller,
 // which implements its own timeout + retry (World::synthesize_burst).
+//
+// Every delay is drawn from its (src -> dst) channel's private stream in one
+// sim::ChannelStreams table.  The burst fast path resolves a Route (link
+// level, delay stream, fault channel) once per direction per burst, so an
+// exchange costs no lookups.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -68,6 +72,17 @@ class NetworkModel {
   /// from its sender's shard, so no locking.
   sim::Rng& channel_rng(int src_rank, int dst_rank);
 
+  /// One directed channel resolved for many deliveries: a ping-pong burst
+  /// resolves its two directions once.  The pointers follow
+  /// sim::ChannelStreams' reference-stability rule; `fault.stream` is null
+  /// unless an injector with network faults is attached.
+  struct Route {
+    LinkLevel level = LinkLevel::kInterNode;
+    sim::Rng* stream = nullptr;
+    fault::FaultChannel fault;
+  };
+  Route route(int src_rank, int dst_rank);
+
   /// Full path: earliest arrival of a message handed to the network at
   /// `depart_ready`, including NIC egress/ingress serialization for
   /// inter-node traffic.  Mutates NIC state.  When `faults` is non-null and
@@ -77,12 +92,13 @@ class NetworkModel {
   sim::Time deliver_time(int src_rank, int dst_rank, std::int64_t bytes, sim::Time depart_ready,
                          DeliveryFaults* faults = nullptr);
 
-  /// As deliver_time but without touching NIC state — used by the ping-pong
-  /// burst fast path, whose pairwise traffic is modelled as uncontended.
-  /// When `decision` is non-null and an injector is active, the injector's
-  /// verdict is written there (drop means the returned arrival time is moot
-  /// and the caller must handle the loss itself).
-  sim::Time deliver_time_uncontended(int src_rank, int dst_rank, std::int64_t bytes,
+  /// As deliver_time but on a resolved route and without touching NIC
+  /// state — used by the ping-pong burst fast path, whose pairwise traffic
+  /// is modelled as uncontended.  When `decision` is non-null and the route
+  /// has a fault channel, the injector's verdict is written there (drop
+  /// means the returned arrival time is moot and the caller must handle the
+  /// loss itself).
+  sim::Time deliver_time_uncontended(const Route& route, std::int64_t bytes,
                                      sim::Time depart_ready,
                                      fault::NetFaultDecision* decision = nullptr);
 
@@ -161,9 +177,8 @@ class NetworkModel {
 
   const topology::ClusterTopology* topo_;
   topology::NetworkParams params_;
-  sim::Rng rng_;                 // standalone sample_delay() only
-  std::uint64_t channel_seed_;   // keys the per-channel streams
-  std::vector<std::map<int, sim::Rng>> channel_rngs_;  // [src_rank][dst_rank]
+  sim::Rng rng_;                   // standalone sample_delay() only
+  sim::ChannelStreams channels_;  // per (src_rank -> dst_rank) delay stream
   std::vector<sim::Time> egress_free_;   // per node; sender-shard state
   std::vector<sim::Time> ingress_free_;  // per node; receiver-side state
   std::vector<ShardMetrics> shard_metrics_;  // size >= 1; [sim::current_shard()]

@@ -96,6 +96,7 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
     sims_.push_back(std::make_unique<sim::Simulation>(s == 0 ? seed : sim::splitmix64(shard_sm)));
   }
   shard_states_.resize(static_cast<std::size_t>(nshards_));
+  open_bursts_.resize(static_cast<std::size_t>(size()));
 
   // One model bank per shard: sync algorithms append learned models to their
   // own shard's bank, so appends are single-threaded and append order is
@@ -799,13 +800,19 @@ struct World::BurstState {
   };
   Half client;
   Half ref;
+  int partner = -1;  // of the first arriver, who opened the state
   bool first_is_client = false;
   std::coroutine_handle<> first_handle = nullptr;
   int nexchanges = 0;
   std::int64_t bytes = 0;
+  int readers = 1;  // callers yet to take `result`; the last one moves it
   BurstResult result;
 
   Half& half(bool is_client) { return is_client ? client : ref; }
+
+  /// The caller's copy of the result: a copy while another caller still
+  /// reads this state, the result itself for the last one.
+  BurstResult take_result() { return --readers == 0 ? std::move(result) : result; }
 };
 
 std::uint64_t World::pair_key(int a, int b, int world_size) {
@@ -840,9 +847,13 @@ void World::synthesize_burst(BurstState& st) {
     client_crash = fault_->next_down(st.client.rank, st.client.ready);
     abandon_at = detector_->detect_time_after(st.client.rank, st.ref.rank, st.client.ready);
   }
-  const LinkLevel level = network_.classify(st.client.rank, st.ref.rank);
-  const double timeout =
-      kPingTimeoutFactor * (2.0 * network_.expected_delay(level, st.bytes) + 2.0 * (o_s + o_r));
+  // Both directions resolved once: their streams belong to different
+  // senders, so neither lookup can move the other's stream.
+  const NetworkModel::Route ping_route = network_.route(st.client.rank, st.ref.rank);
+  const NetworkModel::Route pong_route = network_.route(st.ref.rank, st.client.rank);
+  const double timeout = kPingTimeoutFactor * (2.0 * network_.expected_delay(ping_route.level,
+                                                                             st.bytes) +
+                                               2.0 * (o_s + o_r));
   st.result.requested = st.nexchanges;
   st.result.samples.reserve(static_cast<std::size_t>(st.nexchanges));
   bool aborted = false;
@@ -867,7 +878,7 @@ void World::synthesize_burst(BurstState& st) {
       s.client_send = st.client.clock->at(tc);
       fault::NetFaultDecision ping_fd;
       const sim::Time arrive_ref = network_.deliver_time_uncontended(
-          st.client.rank, st.ref.rank, st.bytes, tc + o_s, faulty ? &ping_fd : nullptr);
+          ping_route, st.bytes, tc + o_s, faulty ? &ping_fd : nullptr);
       bool timed_out = ping_fd.drop;
       if (crashy && !crash_delivered(st.client.rank, st.ref.rank, tc, arrive_ref)) {
         timed_out = true;
@@ -880,7 +891,7 @@ void World::synthesize_burst(BurstState& st) {
         tr = reply_depart;  // the reference served this ping whether or not the pong survives
         fault::NetFaultDecision pong_fd;
         const sim::Time arrive_client = network_.deliver_time_uncontended(
-            st.ref.rank, st.client.rank, st.bytes, reply_depart, faulty ? &pong_fd : nullptr);
+            pong_route, st.bytes, reply_depart, faulty ? &pong_fd : nullptr);
         // `faulty` gate: fault-free this branch must be taken unconditionally
         // so the synthesized schedule stays bit-identical to the seed model.
         // The crash rule also covers the reference dying mid-service: a
@@ -927,11 +938,10 @@ void World::synthesize_burst(BurstState& st) {
 // (the waiter's own crash time, or the moment its detector declares the
 // partner dead) the burst is reported fully lost and the waiter resumed —
 // it re-checks its own crash on resume.  A burst that paired in the
-// meantime cleared first_handle, making this a no-op.  Intra-node waits
-// also un-register from the shard's pairing map; cross-node halves are
-// lazily skipped by the rendezvous drain instead.
-sim::Task<void> World::burst_watchdog(std::shared_ptr<BurstState> st, std::uint64_t key,
-                                      sim::Time when, bool cross_node) {
+// meantime cleared first_handle, making this a no-op.  A state still open
+// in its owner's pairing slot is withdrawn from it; a cross-node half not
+// yet drained is skipped by the rendezvous drain instead.
+sim::Task<void> World::burst_watchdog(std::shared_ptr<BurstState> st, sim::Time when) {
   const int owner = st->half(st->first_is_client).rank;
   sim::Simulation& s = sim_of(owner);
   if (when > s.now()) co_await s.delay(when - s.now());
@@ -939,15 +949,19 @@ sim::Task<void> World::burst_watchdog(std::shared_ptr<BurstState> st, std::uint6
   st->result.requested = st->nexchanges;
   st->result.lost = st->nexchanges;
   if (fault_) fault_->count_crash_drop();
-  if (!cross_node) {
-    auto& bursts = shard_states_[static_cast<std::size_t>(shard_of_rank(owner))].local_bursts;
-    const auto it = bursts.find(key);
-    if (it != bursts.end() && it->second == st) bursts.erase(it);
-  }
+  auto& slot = open_bursts_[static_cast<std::size_t>(owner)];
+  if (slot == st) slot.reset();
   s.schedule_at(s.now(), st->first_handle);
   st->first_handle = nullptr;
 }
 
+// One coroutine per side.  The second intra-node arriver finds its partner's
+// state in the partner's pairing slot, synthesizes the burst inline, wakes
+// the partner at its done time and resumes at its own.  Every other caller
+// opens a state and parks: intra-node first arrivers in their own slot,
+// cross-node callers as a half for the window-boundary rendezvous
+// (drain_burst_halves), which runs at every shard count (including 1), so
+// pairing and synthesis order never depend on the shard layout.
 sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_client,
                                              vclock::Clock& my_clock, int nexchanges,
                                              std::int64_t bytes) {
@@ -959,13 +973,39 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
                               .role = i_am_client});
     co_return replay::decode_burst(replay_feed_->last());
   }
-  BurstResult result;
-  if (node_of_rank_[static_cast<std::size_t>(me)] ==
-      node_of_rank_[static_cast<std::size_t>(partner)]) {
-    result = co_await pingpong_burst_local(me, partner, i_am_client, my_clock, nexchanges, bytes);
+  const bool same_node = node_of_rank_[static_cast<std::size_t>(me)] ==
+                         node_of_rank_[static_cast<std::size_t>(partner)];
+  auto& partner_slot = open_bursts_[static_cast<std::size_t>(partner)];
+  std::shared_ptr<BurstState> st;
+  if (same_node && partner_slot && partner_slot->partner == me) {
+    sim::Simulation& s = sim_of(me);
+    st = std::move(partner_slot);
+    if (st->nexchanges != nexchanges || st->first_is_client == i_am_client) {
+      throw std::logic_error("pingpong_burst: mismatched burst call between partners");
+    }
+    st->half(i_am_client) = {me, &my_clock, s.now()};
+    synthesize_burst(*st);
+    s.schedule_at(st->half(st->first_is_client).done, st->first_handle);
+    st->first_handle = nullptr;  // burst watchdogs must not resume it again
+    ++st->readers;
+    ResumeAt resume_at{&s, st->half(i_am_client).done};
+    co_await resume_at;
+    check_crash(me);
   } else {
-    result = co_await pingpong_burst_cross(me, partner, i_am_client, my_clock, nexchanges, bytes);
+    st = open_burst(me, partner, i_am_client, my_clock, nexchanges, bytes);
+    if (st->result.lost == 0) {  // else the partner was already declared dead
+      if (same_node) {
+        open_bursts_[static_cast<std::size_t>(me)] = st;
+      } else {
+        shard_states_[static_cast<std::size_t>(shard_of_rank(me))].halves.push_back(
+            PendingHalf{pair_key(me, partner, size()), i_am_client, st});
+      }
+      ParkIn wait_for_partner{&st->first_handle};
+      co_await wait_for_partner;
+      check_crash(me);
+    }
   }
+  BurstResult result = st->take_result();
   if (record_section_ != nullptr) {
     // Recorded at the caller's resume point (its own shard thread, at the
     // clamped done time — both shard-count-invariant), never from the
@@ -978,10 +1018,10 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
 
 std::shared_ptr<World::BurstState> World::open_burst(int me, int partner, bool i_am_client,
                                                      vclock::Clock& my_clock, int nexchanges,
-                                                     std::int64_t bytes, std::uint64_t key,
-                                                     bool cross_node) {
+                                                     std::int64_t bytes) {
   sim::Simulation& s = sim_of(me);
   auto st = std::make_shared<BurstState>();
+  st->partner = partner;
   st->nexchanges = nexchanges;
   st->bytes = bytes;
   st->first_is_client = i_am_client;
@@ -999,103 +1039,44 @@ std::shared_ptr<World::BurstState> World::open_burst(int me, int partner, bool i
   // The caller's check_crash guarantees now < own crash time, so both
   // watchdogs fire strictly in the future, after the handle is published.
   const sim::Time own_crash = fault_->next_down(me, s.now());
-  if (own_crash < sim::kTimeInfinity) s.spawn(burst_watchdog(st, key, own_crash, cross_node));
-  if (partner_dead < sim::kTimeInfinity) s.spawn(burst_watchdog(st, key, partner_dead, cross_node));
+  if (own_crash < sim::kTimeInfinity) s.spawn(burst_watchdog(st, own_crash));
+  if (partner_dead < sim::kTimeInfinity) s.spawn(burst_watchdog(st, partner_dead));
   return st;
 }
 
-// Intra-node burst: both callers live in the same shard, so the pairing map
-// and inline synthesis work exactly as in the unsharded engine.
-sim::Task<BurstResult> World::pingpong_burst_local(int me, int partner, bool i_am_client,
-                                                   vclock::Clock& my_clock, int nexchanges,
-                                                   std::int64_t bytes) {
-  sim::Simulation& s = sim_of(me);
-  auto& bursts = shard_states_[static_cast<std::size_t>(shard_of_rank(me))].local_bursts;
-  const std::uint64_t key = pair_key(me, partner, size());
-  const auto it = bursts.find(key);
-  if (it == bursts.end()) {
-    auto st = open_burst(me, partner, i_am_client, my_clock, nexchanges, bytes, key,
-                         /*cross_node=*/false);
-    if (st->result.lost > 0) co_return st->result;  // partner already declared dead
-    bursts[key] = st;
-    ParkIn wait_for_partner{&st->first_handle};
-    co_await wait_for_partner;
-    check_crash(me);
-    co_return st->result;
-  }
-
-  auto st = it->second;
-  bursts.erase(it);
-  if (st->nexchanges != nexchanges || st->first_is_client == i_am_client) {
-    throw std::logic_error("pingpong_burst: mismatched burst call between partners");
-  }
-  st->half(i_am_client) = {me, &my_clock, s.now()};
-  synthesize_burst(*st);
-  s.schedule_at(st->half(st->first_is_client).done, st->first_handle);
-  st->first_handle = nullptr;  // burst watchdogs must not resume it again
-  ResumeAt resume_at{&s, st->half(i_am_client).done};
-  co_await resume_at;
-  check_crash(me);
-  co_return st->result;
-}
-
-// Cross-node burst: each caller parks its half in its shard and suspends;
-// the window-boundary rendezvous pairs the halves, synthesizes the burst
-// with both clocks in hand, and resumes both callers.  This path runs at
-// every shard count (including 1), so pairing and synthesis order never
-// depend on the shard layout.
-sim::Task<BurstResult> World::pingpong_burst_cross(int me, int partner, bool i_am_client,
-                                                   vclock::Clock& my_clock, int nexchanges,
-                                                   std::int64_t bytes) {
-  const std::uint64_t key = pair_key(me, partner, size());
-  auto st = open_burst(me, partner, i_am_client, my_clock, nexchanges, bytes, key,
-                       /*cross_node=*/true);
-  if (st->result.lost > 0) co_return st->result;  // partner already declared dead
-  shard_states_[static_cast<std::size_t>(shard_of_rank(me))].halves.push_back(
-      PendingHalf{key, i_am_client, st});
-  ParkIn wait_for_partner{&st->first_handle};
-  co_await wait_for_partner;
-  check_crash(me);
-  co_return st->result;
-}
-
 // Window-boundary rendezvous for cross-node bursts.  Halves are paired in
-// (key, role) sort order; a half whose watchdog already resolved it is
-// skipped (the "watchdog wins within its window" rule — both the watchdog's
-// firing time and the window boundaries are shard-count-invariant, so which
-// one wins never depends on the layout).  Synthesis runs under the client
-// shard's observability context, and both callers resume no earlier than
-// the end of the window just finished.
+// (key, role) sort order: a half meets its partner's half parked in the
+// partner's pairing slot, or parks in its own.  A half whose watchdog
+// already resolved it is skipped (the "watchdog wins within its window"
+// rule — both the watchdog's firing time and the window boundaries are
+// shard-count-invariant, so which one wins never depends on the layout).
+// Synthesis runs under the client shard's observability context, and both
+// callers resume no earlier than the end of the window just finished.
 void World::drain_burst_halves() {
   std::vector<PendingHalf> halves;
   for (auto& ss : shard_states_) {
     for (auto& h : ss.halves) halves.push_back(std::move(h));
     ss.halves.clear();
   }
-  if (halves.empty() && rendezvous_.empty()) return;
+  if (halves.empty()) return;
   std::sort(halves.begin(), halves.end(), [](const PendingHalf& a, const PendingHalf& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.is_client && !b.is_client;
   });
   for (PendingHalf& h : halves) {
     if (!h.st->first_handle) continue;  // watchdog resolved it this window
-    auto it = rendezvous_.find(h.key);
-    if (it != rendezvous_.end() && !it->second.st->first_handle) {
-      rendezvous_.erase(it);  // stale: first arriver gave up via watchdog
-      it = rendezvous_.end();
-    }
-    if (it == rendezvous_.end()) {
-      rendezvous_.emplace(h.key, h);
+    const BurstState::Half& mine = h.st->half(h.is_client);
+    auto& partner_slot = open_bursts_[static_cast<std::size_t>(h.st->partner)];
+    if (!partner_slot || partner_slot->partner != mine.rank) {
+      open_bursts_[static_cast<std::size_t>(mine.rank)] = h.st;
       continue;
     }
-    const PendingHalf first = it->second;
-    rendezvous_.erase(it);
-    const auto st = first.st;
-    if (st->nexchanges != h.st->nexchanges || first.is_client == h.is_client) {
+    const auto st = std::move(partner_slot);
+    if (st->nexchanges != h.st->nexchanges || st->first_is_client == h.is_client) {
       sim::set_current_shard(0);
       throw std::logic_error("pingpong_burst: mismatched burst call between partners");
     }
-    st->half(h.is_client) = h.st->half(h.is_client);
+    st->half(h.is_client) = mine;
     const int client_shard = shard_of_rank(st->client.rank);
     {
       sim::set_current_shard(client_shard);
@@ -1108,11 +1089,11 @@ void World::drain_burst_halves() {
               : shard_registries_[static_cast<std::size_t>(client_shard)].get());
       synthesize_burst(*st);
     }
-    h.st->result = st->result;
+    h.st->result = st->result;  // the burst's one samples copy
     // Resumes clamp to the end of the window that just ran: a reference
     // whose service finished early may not re-enter its shard mid-window.
     // The clamp time is itself shard-count-invariant, so so are the resumes.
-    const BurstState::Half& first_half = st->half(first.is_client);
+    const BurstState::Half& first_half = st->half(st->first_is_client);
     sim_of(first_half.rank).schedule_at(std::max(first_half.done, last_window_end_),
                                         st->first_handle);
     st->first_handle = nullptr;

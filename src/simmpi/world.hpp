@@ -11,7 +11,10 @@
 // shards concurrently inside conservative time windows bounded by the
 // network's minimum inter-node latency; inter-node messages cross shards via
 // per-shard outboxes drained in a deterministic merge order at window
-// boundaries, and cross-node ping-pong bursts rendezvous there too.  The
+// boundaries, and cross-node ping-pong bursts rendezvous there too.  A burst
+// is one coroutine per side, paired through a per-rank open-burst slot: the
+// second intra-node arriver synthesizes it inline, every other caller parks
+// until its partner (or the rendezvous drain) completes it.  The
 // inter-node protocol is the same at every shard count — including
 // --shards 1, which runs the windows inline with no worker threads — so the
 // simulated timeline is bit-identical for any number of shards.
@@ -241,7 +244,9 @@ class World {
 
   /// Fast-path ping-pong burst between `me` and `partner` (DESIGN.md §4.3):
   /// both sides call this; per-exchange timestamps are synthesized from the
-  /// same network distributions without per-message events.
+  /// same network distributions without per-message events.  A rank is in
+  /// at most one burst at a time, so pairing is one lookup in a per-rank
+  /// slot, and synthesis resolves each direction's streams once per burst.
   sim::Task<BurstResult> pingpong_burst(int me, int partner, bool i_am_client,
                                         vclock::Clock& my_clock, int nexchanges,
                                         std::int64_t bytes);
@@ -333,7 +338,8 @@ class World {
   };
 
   /// One side of a cross-node ping-pong burst, parked in its caller's shard
-  /// until the window boundary pairs it with the partner's half.
+  /// until the window boundary pairs it with the partner's half.  `key`
+  /// (pair_key) orders the drain.
   struct PendingHalf {
     std::uint64_t key = 0;
     bool is_client = false;
@@ -346,8 +352,6 @@ class World {
     std::vector<IngressRecord> outbox;
     std::uint64_t outbox_seq = 0;
     std::vector<PendingHalf> halves;
-    // Intra-node bursts pair inline exactly as in the unsharded engine.
-    std::map<std::uint64_t, std::shared_ptr<BurstState>> local_bursts;
   };
 
   // Per-shard handles for the World's own metrics, indexed by
@@ -371,7 +375,7 @@ class World {
   /// (result.lost > 0), without suspending.
   std::shared_ptr<BurstState> open_burst(int me, int partner, bool i_am_client,
                                          vclock::Clock& my_clock, int nexchanges,
-                                         std::int64_t bytes, std::uint64_t key, bool cross_node);
+                                         std::int64_t bytes);
   void match_or_enqueue(int dst, Message msg);
   /// Hands `msg` to dst's mailbox at msg.arrived_at — unless the crash rule
   /// drops it (then it is counted as a crash drop instead).
@@ -396,8 +400,7 @@ class World {
   void cancel_recv(const RecvRequest& request);
   sim::Task<void> block_on_recv(RecvRequest request, sim::Time deadline);
   sim::Task<void> recv_watchdog(RecvRequest request, sim::Time when, bool crash_kind);
-  sim::Task<void> burst_watchdog(std::shared_ptr<BurstState> st, std::uint64_t key,
-                                 sim::Time when, bool cross_node);
+  sim::Task<void> burst_watchdog(std::shared_ptr<BurstState> st, sim::Time when);
 
   /// The replay prologue of every blocking operation (world.cpp,
   /// docs/record-replay.md): consumes the recorded answer to `want` and
@@ -405,12 +408,6 @@ class World {
   sim::Task<void> replay_step(int me, replay::Expected want);
 
   // --- windowed engine (world_engine section of world.cpp) ---
-  sim::Task<BurstResult> pingpong_burst_local(int me, int partner, bool i_am_client,
-                                              vclock::Clock& my_clock, int nexchanges,
-                                              std::int64_t bytes);
-  sim::Task<BurstResult> pingpong_burst_cross(int me, int partner, bool i_am_client,
-                                              vclock::Clock& my_clock, int nexchanges,
-                                              std::int64_t bytes);
   void drain_outboxes();          // ingress merge + delivery spawns
   void drain_burst_halves();      // cross-node rendezvous + synthesis
   bool serial_phase(std::uint64_t max_events);  // drains + next window; false = done
@@ -451,8 +448,11 @@ class World {
   std::vector<std::shared_ptr<vclock::HardwareClock>> hw_clocks_;  // per time source
   std::vector<vclock::ModelBankPtr> model_banks_;                  // per shard
   std::vector<Mailbox> mailboxes_;
-  std::vector<ShardState> shard_states_;            // per shard
-  std::map<std::uint64_t, PendingHalf> rendezvous_;  // cross-node bursts (coordinator)
+  std::vector<ShardState> shard_states_;  // per shard
+  // Per rank: the burst it opened and parks in, waiting for its partner.
+  // Written by the rank's own shard (intra-node first arrivers, watchdogs)
+  // or by the coordinator's rendezvous drain (cross-node halves).
+  std::vector<std::shared_ptr<BurstState>> open_bursts_;
   std::vector<std::unique_ptr<RankCtx>> ctxs_;
 
   // Record / replay: when a replay::Recorder was installed on the

@@ -31,6 +31,7 @@ constexpr Incident kIncidents[] = {
     {"micro4-step-seed13", "micro4-step", 13, 1},
     {"micro4-churn-seed42", "micro4-churn", 42, 2},
     {"micro16-h2hca-seed42", "micro16-h2hca", 42, 3},
+    {"micro16-crash-seed42", "micro16-crash", 42, 3},
 };
 
 std::string incident_path(const std::string& base, const char* ext) {
@@ -69,10 +70,11 @@ TEST_P(IncidentSuite, EveryRankReplaysBitExactly) {
   }
 }
 
-// Format back-compat: the crash/drop/step incidents were committed as v1
-// recordings and must keep parsing (and, per EveryRankReplaysBitExactly,
+// Format back-compat: the micro4 crash/drop/step incidents were committed as
+// v1 recordings and must keep parsing (and, per EveryRankReplaysBitExactly,
 // replaying bit-exactly) under the current reader; the churn incident needs
-// v2 for its kMembership events, the H2HCA incident v3 for its kSplit ones.
+// v2 for its kMembership events, the H2HCA incident v3 for its kSplit ones;
+// the micro16 crash incident was recorded as v3.
 TEST_P(IncidentSuite, HeaderVersionIsSupportedAndAsCommitted) {
   const Incident& incident = GetParam();
   std::ifstream in(incident_path(incident.file, ".hcsr"), std::ios::binary);

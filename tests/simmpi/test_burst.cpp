@@ -4,6 +4,7 @@
 
 #include "util/vec.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "simmpi/collectives.hpp"
@@ -106,6 +107,66 @@ TEST(Burst, MismatchedRolesRejected) {
     co_await ctx.comm_world().pingpong_burst(1 - ctx.rank(), true, *clk, 5);
   });
   EXPECT_THROW(w.run(), std::logic_error);
+}
+
+// Intra-node pairing: both partners share a node, so the second arriver
+// finds the first in its pairing slot and synthesizes the burst inline.
+TEST(Burst, MismatchedRolesRejectedOnOneNode) {
+  World w(topology::testbox(1, 2), 17);
+  w.launch([](RankCtx& ctx) -> sim::Task<void> {
+    auto clk = ctx.base_clock();
+    co_await ctx.comm_world().pingpong_burst(1 - ctx.rank(), true, *clk, 5);
+  });
+  EXPECT_THROW(w.run(), std::logic_error);
+}
+
+TEST(Burst, ThirdRankWaitsWhileItsPartnerIsParkedForAnother) {
+  // Rank 0 parks first, waiting for rank 1; rank 2 then asks rank 0 and
+  // must park on its own rather than pair with 0's open burst.  Once 1
+  // arrives and 0 finishes, 0's burst with 2 pairs from 2's slot.
+  World w(topology::testbox(1, 3), 23);
+  std::vector<std::size_t> samples;
+  w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+    auto clk = ctx.base_clock();
+    Comm& comm = ctx.comm_world();
+    if (ctx.rank() == 0) {
+      auto with1 = co_await comm.pingpong_burst(1, /*i_am_client=*/false, *clk, 7);
+      auto with2 = co_await comm.pingpong_burst(2, /*i_am_client=*/false, *clk, 9);
+      samples.push_back(with1.samples.size());
+      samples.push_back(with2.samples.size());
+    } else {
+      co_await ctx.sim().delay(ctx.rank() == 1 ? 1e-3 : 0.5e-3);
+      const int nexchanges = ctx.rank() == 1 ? 7 : 9;
+      auto res = co_await comm.pingpong_burst(0, /*i_am_client=*/true, *clk, nexchanges);
+      samples.push_back(res.samples.size());
+    }
+  });
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(samples, (std::vector<std::size_t>{7, 7, 9, 9}));
+}
+
+// Both sides read one synthesized schedule: the reference's samples are the
+// client's, on the intra-node path (one shared state) and the cross-node one.
+TEST(Burst, ReferenceGetsTheClientsSamples) {
+  for (const auto& machine : {topology::testbox(1, 2), topology::testbox(2, 1)}) {
+    World w(machine, 29);
+    BurstResult client_result, ref_result;
+    w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+      auto clk = ctx.base_clock();
+      auto res =
+          co_await ctx.comm_world().pingpong_burst(1 - ctx.rank(), ctx.rank() == 1, *clk, 12);
+      if (ctx.rank() == 1) client_result = std::move(res);
+      else ref_result = std::move(res);
+    });
+    ASSERT_EQ(client_result.samples.size(), 12u);
+    ASSERT_EQ(ref_result.samples.size(), 12u);
+    for (std::size_t i = 0; i < 12; ++i) {
+      EXPECT_EQ(ref_result.samples[i].client_send, client_result.samples[i].client_send);
+      EXPECT_EQ(ref_result.samples[i].ref_reply, client_result.samples[i].ref_reply);
+      EXPECT_EQ(ref_result.samples[i].client_recv, client_result.samples[i].client_recv);
+    }
+    EXPECT_EQ(ref_result.requested, client_result.requested);
+  }
 }
 
 TEST(Burst, RefTimestampReflectsRefClockOffset) {

@@ -72,7 +72,7 @@ TEST_F(NetworkTest, IntraNodeBypassesNic) {
 
 TEST_F(NetworkTest, UncontendedIgnoresNicState) {
   for (int i = 0; i < 50; ++i) net_.deliver_time(0, 4, 8, 3.0);
-  const double t = net_.deliver_time_uncontended(0, 4, 8, 3.0);
+  const double t = net_.deliver_time_uncontended(net_.route(0, 4), 8, 3.0);
   // Bounded by base + serialization + a generous jitter allowance.
   EXPECT_LT(t, 3.0 + machine_.net.inter_node.base_latency + 1e-6);
 }
