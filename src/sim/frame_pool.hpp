@@ -7,9 +7,12 @@
 //
 // * **Thread caches** (FramePool): per-thread, size-bucketed freelists.
 //   Allocation is a pointer pop in the steady state, deallocation a pointer
-//   push, no locks — each thread owns its cache (runner::TrialRunner runs
-//   whole trials per thread and the PDES shard workers own their shards, so
-//   frames are born and die on the same thread).
+//   push, no locks — each thread owns its cache.  runner::TrialRunner runs
+//   whole trials per thread, and the sharded World spawns every coroutine on
+//   the thread of the shard that runs it (window-boundary deliveries are
+//   spawned by the destination shard itself), so frames are born and die
+//   on the same thread.  Rank programs, spawned by launch() on the calling
+//   thread, are the one-off exception.
 // * **A global slab arena** (SlabArena): when a thread cache misses, it
 //   refills a whole batch of blocks carved from 64 KiB size-classed slabs
 //   under one mutex acquisition, instead of one ::operator new per frame.
@@ -25,7 +28,9 @@
 // unsized deallocation both work; frames larger than the largest bucket fall
 // through to ::operator new/delete untouched.  Blocks freed on a different
 // thread than the one that allocated them simply land in the freeing
-// thread's cache — correct, just not what the layout is optimized for.
+// thread's cache — correct, but a steady stream of them makes the allocating
+// thread carve fresh slabs while the freeing one hoards the old blocks
+// (tests/scale/test_memory_growth.cpp gates this for sharded Worlds).
 #pragma once
 
 #include <atomic>

@@ -64,7 +64,7 @@ class Simulation {
   /// time strictly below `window_end` (ties with `window_end` stay queued for
   /// the next window).  Never throws — errors (including the event-budget
   /// guard, compared against lifetime events_processed() like run()) are
-  /// parked for take_error() so shard worker threads can't unwind across the
+  /// parked for take_error() so shard threads can't unwind across the
   /// barrier.  Reports no metrics; the engine reports once per World::run.
   void run_window(Time window_end, std::uint64_t max_events = UINT64_MAX);
 

@@ -301,14 +301,18 @@ std::uint64_t World::total_events() const noexcept {
   return total;
 }
 
-// One window-boundary step on the coordinating thread (workers parked):
-// collect errors, drain cross-shard traffic, pick the next window.  Returns
-// false when the run is over (all queues empty, or a fatal error).
+// One window-boundary step, run while every shard is parked: collect
+// errors, drain cross-shard traffic into the shards' boundary lists, pick the
+// next window.  Returns false when the run is over (all queues and lists
+// empty, or a fatal error).
 bool World::serial_phase(std::uint64_t max_events) {
   for (int s = 0; s < nshards_; ++s) {
     if (auto error = sims_[static_cast<std::size_t>(s)]->take_error()) {
       if (!fatal_) fatal_ = error;
     }
+    ShardState& ss = shard_states_[static_cast<std::size_t>(s)];
+    if (ss.error && !fatal_) fatal_ = ss.error;
+    ss.error = nullptr;
   }
   if (fatal_) return false;
   try {
@@ -320,8 +324,10 @@ bool World::serial_phase(std::uint64_t max_events) {
     return false;
   }
   sim::Time first = sim::kTimeInfinity;
-  for (const auto& s : sims_) {
-    if (!s->idle() && s->next_event_time() < first) first = s->next_event_time();
+  for (int s = 0; s < nshards_; ++s) {
+    const sim::Simulation& sim = *sims_[static_cast<std::size_t>(s)];
+    if (!sim.idle()) first = std::min(first, sim.next_event_time());
+    first = std::min(first, shard_states_[static_cast<std::size_t>(s)].first_pending);
   }
   if (first == sim::kTimeInfinity) return false;
   const std::uint64_t done = total_events();
@@ -349,45 +355,38 @@ bool World::serial_phase(std::uint64_t max_events) {
   return true;
 }
 
+// A shard's side of one window, on its own thread: apply the boundary lists
+// (every frame they spawn is born on this thread, and dies here), then run
+// the window.  Never throws, like Simulation::run_window.
+void World::run_shard_window(int shard) noexcept {
+  ShardState& ss = shard_states_[static_cast<std::size_t>(shard)];
+  sim::Simulation& s = *sims_[static_cast<std::size_t>(shard)];
+  try {
+    for (Delivery& d : ss.inbox) s.spawn(deliver_later(d.dst, d.at, std::move(d.msg)));
+    ss.inbox.clear();
+    for (const Resume& r : ss.resumes) s.schedule_at(r.at, r.handle);
+    ss.resumes.clear();
+    ss.first_pending = sim::kTimeInfinity;
+  } catch (...) {
+    ss.error = std::current_exception();
+    return;
+  }
+  s.run_window(window_end_, shard_caps_[static_cast<std::size_t>(shard)]);
+}
+
 void World::run(std::uint64_t max_events) {
   fatal_ = nullptr;
   sim::set_current_shard(0);
   const std::uint64_t events_before = total_events();
   if (nshards_ == 1) {
-    while (serial_phase(max_events)) {
-      sims_[0]->run_window(window_end_, shard_caps_[0]);
+    std::vector<IngressRecord>& outbox = shard_states_[0].outbox;
+    for (;;) {
+      std::sort(outbox.begin(), outbox.end());
+      if (!serial_phase(max_events)) break;
+      run_shard_window(0);
     }
   } else {
-    std::barrier gate(static_cast<std::ptrdiff_t>(nshards_) + 1);
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(nshards_));
-    for (int s = 0; s < nshards_; ++s) {
-      workers.emplace_back([this, s, &gate, &stop] {
-        sim::set_current_shard(s);
-        trace::ScopedTracer tracer_guard(shard_tracers_.empty()
-                                             ? nullptr
-                                             : shard_tracers_[static_cast<std::size_t>(s)].get());
-        trace::ScopedMetrics metrics_guard(
-            shard_registries_.empty() ? nullptr
-                                      : shard_registries_[static_cast<std::size_t>(s)].get());
-        for (;;) {
-          gate.arrive_and_wait();
-          if (stop.load(std::memory_order_acquire)) break;
-          sims_[static_cast<std::size_t>(s)]->run_window(window_end_,
-                                                         shard_caps_[static_cast<std::size_t>(s)]);
-          gate.arrive_and_wait();
-        }
-      });
-    }
-    for (;;) {
-      const bool go = serial_phase(max_events);
-      if (!go) stop.store(true, std::memory_order_release);
-      gate.arrive_and_wait();  // release workers: run a window, or exit
-      if (!go) break;
-      gate.arrive_and_wait();  // window complete everywhere
-    }
-    for (auto& w : workers) w.join();
+    run_sharded(max_events);
   }
   if (fatal_) {
     auto error = fatal_;
@@ -410,6 +409,45 @@ void World::run(std::uint64_t max_events) {
   HCS_METRIC_SET("sim.processes_spawned", static_cast<double>(spawned));
 }
 
+// One thread per shard — the caller runs shard 0 — and one barrier crossing
+// per window.  Each shard sorts its own outbox before it arrives; the window
+// boundary is the barrier's completion step, so it runs on the last shard to
+// arrive while the others are parked, under the parent observability context
+// (as on the calling thread), and hands that thread back its shard index.
+void World::run_sharded(std::uint64_t max_events) {
+  bool stop = false;
+  auto boundary = [this, max_events, &stop]() noexcept {
+    const int shard = sim::current_shard();
+    trace::ScopedTracer tracer_guard(parent_tracer_);
+    trace::ScopedMetrics metrics_guard(parent_metrics_);
+    sim::set_current_shard(0);
+    stop = !serial_phase(max_events);
+    sim::set_current_shard(shard);
+  };
+  std::barrier gate(static_cast<std::ptrdiff_t>(nshards_), boundary);
+  auto shard_loop = [this, &gate, &stop](int s) {
+    sim::set_current_shard(s);
+    trace::ScopedTracer tracer_guard(
+        shard_tracers_.empty() ? nullptr : shard_tracers_[static_cast<std::size_t>(s)].get());
+    trace::ScopedMetrics metrics_guard(
+        shard_registries_.empty() ? nullptr
+                                  : shard_registries_[static_cast<std::size_t>(s)].get());
+    std::vector<IngressRecord>& outbox = shard_states_[static_cast<std::size_t>(s)].outbox;
+    for (;;) {
+      std::sort(outbox.begin(), outbox.end());
+      gate.arrive_and_wait();
+      if (stop) break;
+      run_shard_window(s);
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(nshards_ - 1));
+  for (int s = 1; s < nshards_; ++s) workers.emplace_back(shard_loop, s);
+  shard_loop(0);
+  sim::set_current_shard(0);
+  for (auto& w : workers) w.join();
+}
+
 void World::run_all(const RankFn& fn, std::uint64_t max_events) {
   launch(fn);
   run(max_events);
@@ -417,20 +455,29 @@ void World::run_all(const RankFn& fn, std::uint64_t max_events) {
 
 // -------------------------------------------------------------------- p2p --
 
-void World::deliver_at_arrival(int dst, Message msg) {
-  if (detector_ && !crash_delivered(msg.src, dst, msg.sent_at, msg.arrived_at)) {
-    // The crash rule trumps the reliable transport's "final retransmission
-    // always lands": a dead endpoint or severed link loses the message for
-    // good, in-flight copies included.
-    fault_->count_crash_drop();
-    return;
-  }
-  sim_of(dst).spawn(deliver_later(dst, std::move(msg)));
+bool World::crash_dropped(int dst, const Message& msg) {
+  if (!detector_ || crash_delivered(msg.src, dst, msg.sent_at, msg.arrived_at)) return false;
+  // The crash rule trumps the reliable transport's "final retransmission
+  // always lands": a dead endpoint or severed link loses the message for
+  // good, in-flight copies included.
+  fault_->count_crash_drop();
+  return true;
 }
 
-sim::Task<void> World::deliver_later(int dst, Message msg) {
+void World::deliver_at_arrival(int dst, Message msg) {
+  if (crash_dropped(dst, msg)) return;
   sim::Simulation& s = sim_of(dst);
-  co_await s.delay(msg.arrived_at - s.now());
+  const sim::Time at = s.now() + (msg.arrived_at - s.now());
+  s.spawn(deliver_later(dst, at, std::move(msg)));
+}
+
+// `at` is msg.arrived_at as the relative delay now + (arrived_at - now)
+// rounds it.  `now` must be a clock every shard layout agrees on: the current
+// event's time inside a window, the World's latest event time at a window
+// boundary — never a shard's own clock there, which depends on the layout.
+sim::Task<void> World::deliver_later(int dst, sim::Time at, Message msg) {
+  ResumeAt arrival{&sim_of(dst), at};
+  co_await arrival;
   deliver_now(dst, std::move(msg));
 }
 
@@ -447,36 +494,47 @@ void World::push_ingress(int src, int dst, sim::Time depart_ready, sim::Time por
   ss.outbox.push_back(std::move(record));
 }
 
-// Window-boundary delivery of all parked inter-node messages, in a merge
+// Window-boundary admission of all parked inter-node messages, in a merge
 // order that no shard layout can change: (port arrival, src, dst, sender
 // push index).  Ingress NIC admission therefore evolves identically for any
-// shard count — the crux of the determinism guarantee.
+// shard count — the crux of the determinism guarantee.  Each outbox arrives
+// sorted by its own shard, so the order is a k-way merge of the runs; the
+// admitted messages go to their destination shard's inbox in that order.
 void World::drain_outboxes() {
-  std::vector<IngressRecord> records;
-  for (auto& ss : shard_states_) {
-    if (records.empty()) {
-      records = std::move(ss.outbox);
-      ss.outbox.clear();
-    } else {
-      for (auto& r : ss.outbox) records.push_back(std::move(r));
-      ss.outbox.clear();
-    }
+  struct Run {
+    IngressRecord* next;
+    IngressRecord* end;
+  };
+  std::vector<Run> runs;
+  for (ShardState& ss : shard_states_) {
+    if (!ss.outbox.empty()) runs.push_back({ss.outbox.data(), ss.outbox.data() + ss.outbox.size()});
   }
-  if (records.empty()) return;
-  std::sort(records.begin(), records.end(), [](const IngressRecord& a, const IngressRecord& b) {
-    if (a.port_time != b.port_time) return a.port_time < b.port_time;
-    if (a.src != b.src) return a.src < b.src;
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.order < b.order;
-  });
-  for (IngressRecord& r : records) {
+  const auto later = [](const Run& a, const Run& b) { return *b.next < *a.next; };
+  std::make_heap(runs.begin(), runs.end(), later);
+  // The latest event time of the whole World: what a single shard's clock
+  // reads here, whatever the layout (each shard's clock is its own latest).
+  sim::Time now = 0.0;
+  for (const auto& sim : sims_) now = std::max(now, sim->now());
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    IngressRecord& r = *runs.back().next;
+    if (++runs.back().next == runs.back().end) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
+    }
     const int dshard = shard_of_rank(r.dst);
     sim::set_current_shard(dshard);
     sim::Time arrive = network_.ingress_admit(r.dst, r.msg.bytes, r.port_time, r.depart_ready);
     if (fault_) arrive = fault_->release_time(r.dst, arrive);
     r.msg.arrived_at = arrive;
-    deliver_at_arrival(r.dst, std::move(r.msg));
+    if (crash_dropped(r.dst, r.msg)) continue;
+    ShardState& ds = shard_states_[static_cast<std::size_t>(dshard)];
+    const sim::Time at = now + (arrive - now);
+    ds.first_pending = std::min(ds.first_pending, at);
+    ds.inbox.push_back({r.dst, at, std::move(r.msg)});
   }
+  for (ShardState& ss : shard_states_) ss.outbox.clear();
   sim::set_current_shard(0);
 }
 
@@ -1009,7 +1067,7 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
   if (record_section_ != nullptr) {
     // Recorded at the caller's resume point (its own shard thread, at the
     // clamped done time — both shard-count-invariant), never from the
-    // coordinator's rendezvous drain.
+    // window boundary's rendezvous drain.
     record_section_->append(me,
                             replay::encode_burst(result, partner, i_am_client, sim_of(me).now()));
   }
@@ -1090,19 +1148,26 @@ void World::drain_burst_halves() {
       synthesize_burst(*st);
     }
     h.st->result = st->result;  // the burst's one samples copy
-    // Resumes clamp to the end of the window that just ran: a reference
-    // whose service finished early may not re-enter its shard mid-window.
-    // The clamp time is itself shard-count-invariant, so so are the resumes.
     const BurstState::Half& first_half = st->half(st->first_is_client);
-    sim_of(first_half.rank).schedule_at(std::max(first_half.done, last_window_end_),
-                                        st->first_handle);
+    post_resume(first_half.rank, first_half.done, st->first_handle);
     st->first_handle = nullptr;
     const BurstState::Half& second_half = st->half(h.is_client);
-    sim_of(second_half.rank).schedule_at(std::max(second_half.done, last_window_end_),
-                                         h.st->first_handle);
+    post_resume(second_half.rank, second_half.done, h.st->first_handle);
     h.st->first_handle = nullptr;
   }
   sim::set_current_shard(0);
+}
+
+// Queues a burst caller's resume on its shard's boundary list.  Resumes clamp
+// to the end of the window that just ran: a reference whose service finished
+// early may not re-enter its shard mid-window.  The clamp time is itself
+// shard-count-invariant, so so are the resumes.  No clamp to the shard's
+// clock is needed: it is always below that window end.
+void World::post_resume(int rank, sim::Time done, std::coroutine_handle<> handle) {
+  ShardState& ss = shard_states_[static_cast<std::size_t>(shard_of_rank(rank))];
+  const sim::Time at = std::max(done, last_window_end_);
+  ss.first_pending = std::min(ss.first_pending, at);
+  ss.resumes.push_back({at, handle});
 }
 
 // ------------------------------------------------------ communicator split --

@@ -9,9 +9,12 @@
 // ranks are partitioned into per-node-group shards, each with its own
 // sim::Simulation (event queue + coroutine scheduler).  run() advances all
 // shards concurrently inside conservative time windows bounded by the
-// network's minimum inter-node latency; inter-node messages cross shards via
-// per-shard outboxes drained in a deterministic merge order at window
-// boundaries, and cross-node ping-pong bursts rendezvous there too.  A burst
+// network's minimum inter-node latency, one thread per shard (the caller
+// runs shard 0).  Inter-node messages cross shards via per-shard outboxes
+// merged in a deterministic order at each window boundary, and cross-node
+// ping-pong bursts rendezvous there too; the boundary only fills each
+// destination shard's lists, which that shard applies on its own thread, so
+// every coroutine frame is allocated and freed by one thread.  A burst
 // is one coroutine per side, paired through a per-rank open-burst slot: the
 // second intra-node arriver synthesizes it inline, every other caller parks
 // until its partner (or the rendezvous drain) completes it.  The
@@ -41,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -112,9 +116,10 @@ class World {
   /// regardless of how many trials run in parallel.  An empty plan leaves
   /// every code path identical to the fault-free model.
   ///
-  /// `shards` splits the event loop across that many worker threads
-  /// (clamped to [1, nodes]; shards never split a node, so intra-node fast
-  /// paths stay single-threaded).  0 uses the process-wide default_shards().
+  /// `shards` splits the event loop across that many threads, the caller's
+  /// among them (clamped to [1, nodes]; shards never split a node, so
+  /// intra-node fast paths stay single-threaded).  0 uses the process-wide
+  /// default_shards().
   /// Results are bit-identical for any value.
   World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPlan fault_plan = {},
         int shards = 0);
@@ -335,6 +340,12 @@ class World {
     sim::Time port_time = 0.0;
     std::uint64_t order = 0;  // per-shard push index: deterministic tiebreak
     Message msg;
+
+    /// The merge order.  (src, order) alone is unique, so it is total and
+    /// merging sorted per-shard runs gives the one global sequence.
+    bool operator<(const IngressRecord& o) const noexcept {
+      return std::tie(port_time, src, dst, order) < std::tie(o.port_time, o.src, o.dst, o.order);
+    }
   };
 
   /// One side of a cross-node ping-pong burst, parked in its caller's shard
@@ -346,12 +357,38 @@ class World {
     std::shared_ptr<BurstState> st;
   };
 
-  /// Shard-confined engine state (only the owning worker thread touches it
-  /// between barriers; the coordinator drains it while workers are parked).
+  /// An admitted inter-node message, spawned as a delivery on its
+  /// destination's shard at the start of the next window.
+  struct Delivery {
+    int dst = -1;
+    sim::Time at = 0.0;  // deliver_later's resume time
+    Message msg;
+  };
+
+  /// A parked burst caller released by the rendezvous drain, scheduled on
+  /// its own shard at the start of the next window.
+  struct Resume {
+    sim::Time at = 0.0;
+    std::coroutine_handle<> handle;
+  };
+
+  /// Shard-confined engine state.  Inside a window only the owning shard's
+  /// thread touches it; the window boundary (run by the last shard to reach
+  /// the barrier, every other one parked) drains the outboxes and halves and
+  /// fills the destination shards' boundary lists.  Each shard applies its
+  /// lists on its own thread before its next window — deliveries first, in
+  /// the global merge order, then resumes in (key, role) order — which is
+  /// exactly the push order a serial drain would give its queue.
   struct ShardState {
-    std::vector<IngressRecord> outbox;
+    std::vector<IngressRecord> outbox;  // sorted by its owner before the boundary
     std::uint64_t outbox_seq = 0;
     std::vector<PendingHalf> halves;
+    std::vector<Delivery> inbox;
+    std::vector<Resume> resumes;
+    // Earliest event the boundary lists will schedule: the next window's
+    // start must count them although they are not queued yet.
+    sim::Time first_pending = sim::kTimeInfinity;
+    std::exception_ptr error;  // raised while applying the lists
   };
 
   // Per-shard handles for the World's own metrics, indexed by
@@ -377,10 +414,12 @@ class World {
                                          vclock::Clock& my_clock, int nexchanges,
                                          std::int64_t bytes);
   void match_or_enqueue(int dst, Message msg);
+  /// True (and counted as a crash drop) when the crash rule loses `msg`.
+  bool crash_dropped(int dst, const Message& msg);
   /// Hands `msg` to dst's mailbox at msg.arrived_at — unless the crash rule
-  /// drops it (then it is counted as a crash drop instead).
+  /// drops it.
   void deliver_at_arrival(int dst, Message msg);
-  sim::Task<void> deliver_later(int dst, Message msg);
+  sim::Task<void> deliver_later(int dst, sim::Time at, Message msg);
   void deliver_now(int dst, Message msg);  // channel repair, then matching
   void dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                         std::int64_t tag, sim::Time ready);
@@ -407,10 +446,13 @@ class World {
   /// resumes `me` at its recorded time; callers decode replay_feed_->last().
   sim::Task<void> replay_step(int me, replay::Expected want);
 
-  // --- windowed engine (world_engine section of world.cpp) ---
-  void drain_outboxes();          // ingress merge + delivery spawns
-  void drain_burst_halves();      // cross-node rendezvous + synthesis
+  // --- windowed engine (engine section of world.cpp) ---
+  void drain_outboxes();      // ingress merge + admission into the inboxes
+  void drain_burst_halves();  // cross-node rendezvous + synthesis + resumes
+  void post_resume(int rank, sim::Time done, std::coroutine_handle<> handle);
   bool serial_phase(std::uint64_t max_events);  // drains + next window; false = done
+  void run_sharded(std::uint64_t max_events);   // one thread per shard, barrier per window
+  void run_shard_window(int shard) noexcept;    // boundary lists, then the window
   std::uint64_t total_events() const noexcept;
 
   topology::MachineConfig machine_;
@@ -451,7 +493,8 @@ class World {
   std::vector<ShardState> shard_states_;  // per shard
   // Per rank: the burst it opened and parks in, waiting for its partner.
   // Written by the rank's own shard (intra-node first arrivers, watchdogs)
-  // or by the coordinator's rendezvous drain (cross-node halves).
+  // or by the window boundary's rendezvous drain (cross-node halves), which
+  // runs while every shard is parked at the barrier.
   std::vector<std::shared_ptr<BurstState>> open_bursts_;
   std::vector<std::unique_ptr<RankCtx>> ctxs_;
 
@@ -464,7 +507,7 @@ class World {
   replay::ReplayFeed* replay_feed_ = nullptr;
   int replay_rank_ = -1;
 
-  // Window-loop state shared between serial_phase and the worker loop.
+  // Window-loop state written by serial_phase, read by every shard's loop.
   sim::Time window_end_ = 0.0;
   sim::Time last_window_end_ = 0.0;  // shard-count-invariant resume clamp
   std::vector<std::uint64_t> shard_caps_;  // per-shard lifetime event caps

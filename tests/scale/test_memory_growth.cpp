@@ -8,6 +8,11 @@
 // channel tables, view lists and split exchange buffers this gate was
 // written against — shows up as a ~10-16x ratio.
 //
+// A second gate holds a sharded World to its serial footprint: every
+// coroutine frame must die on the thread that allocated it, or the frame
+// pool's per-thread caches keep carving fresh slabs for the allocating
+// thread while the freeing one hoards the old blocks.
+//
 // Every World runs in a forked child: the coroutine frame arena keeps its
 // slabs until process exit, so a World run earlier in the same process
 // would lend the measured one its frames uncounted.
@@ -70,6 +75,7 @@ namespace hcs {
 namespace {
 
 constexpr double kMaxGrowth = 4.5;  // allowed peak ratio for 4x the ranks
+constexpr double kMaxShardedOverhead = 1.15;  // allowed 2-shard / 1-shard peak ratio
 
 // Ring exchange: every rank sends to its right neighbour and receives from
 // its left one, so every mailbox (and every channel table) is exercised.
@@ -104,12 +110,12 @@ sim::Task<void> h2hca_sync(simmpi::RankCtx& ctx) {
 enum class Program { kRing, kViewRing, kH2hca };
 
 // Peak live heap bytes, above those live before, while one World runs.
-std::int64_t peak_bytes(int nodes, const fault::FaultPlan& plan, Program program) {
+std::int64_t peak_bytes(int nodes, const fault::FaultPlan& plan, Program program, int shards) {
   const topology::MachineConfig machine = topology::titan().with_nodes(nodes);
   const std::int64_t base = g_live.load();
   g_peak.store(base);
   {
-    simmpi::World world(machine, 7, plan, 1);
+    simmpi::World world(machine, 7, plan, shards);
     world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
       switch (program) {
         case Program::kRing: co_await ring_exchange(ctx.comm_world(), 2); break;
@@ -122,7 +128,8 @@ std::int64_t peak_bytes(int nodes, const fault::FaultPlan& plan, Program program
 }
 
 // peak_bytes in a forked child (fresh frame arena); -1 if the child failed.
-std::int64_t peak_bytes_in_child(int nodes, const fault::FaultPlan& plan, Program program) {
+std::int64_t peak_bytes_in_child(int nodes, const fault::FaultPlan& plan, Program program,
+                                 int shards = 1) {
   int fds[2] = {-1, -1};
   if (pipe(fds) != 0) return -1;
   const pid_t pid = fork();
@@ -130,7 +137,7 @@ std::int64_t peak_bytes_in_child(int nodes, const fault::FaultPlan& plan, Progra
     close(fds[0]);
     std::int64_t peak = -1;
     try {
-      peak = peak_bytes(nodes, plan, program);
+      peak = peak_bytes(nodes, plan, program, shards);
     } catch (...) {
     }
     const bool sent = write(fds[1], &peak, sizeof(peak)) == static_cast<ssize_t>(sizeof(peak));
@@ -178,6 +185,22 @@ TEST(MemoryGrowth, ChurnViewWorldIsLinear) {
 
 // Comm::split must not leave every rank holding all members' (color, key).
 TEST(MemoryGrowth, H2hcaSplitWorldIsLinear) { expect_linear_growth({}, Program::kH2hca); }
+
+// Inter-node deliveries and burst resumes cross shards at every window
+// boundary; the frames they spawn must be born on the destination shard's
+// thread, where they die, so a second shard adds next to no heap.
+TEST(MemoryGrowth, ShardedWorldKeepsFramesOnTheirShard) {
+  const std::int64_t serial = peak_bytes_in_child(64, {}, Program::kH2hca, 1);
+  const std::int64_t sharded = peak_bytes_in_child(64, {}, Program::kH2hca, 2);
+  ASSERT_GT(serial, 0);
+  ASSERT_GT(sharded, 0);
+  const double ratio = static_cast<double>(sharded) / static_cast<double>(serial);
+  ::testing::Test::RecordProperty("peak_bytes_shards1", std::to_string(serial));
+  ::testing::Test::RecordProperty("peak_bytes_shards2", std::to_string(sharded));
+  EXPECT_LE(ratio, kMaxShardedOverhead)
+      << "peak live bytes: " << serial << " at 1 shard, " << sharded << " at 2 shards (" << ratio
+      << "x)";
+}
 
 }  // namespace
 }  // namespace hcs
