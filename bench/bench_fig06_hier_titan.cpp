@@ -4,9 +4,9 @@
 //
 // The rank count is the paper's real one at every --scale: the machine is
 // always the full 1024-node Titan preset, and --scale only thins the
-// per-rank workload (fit points, pingpongs per measurement).  The ladder
-// event queue and slab-allocated rank state keep the default run cheap at
-// this size; bench_scale extends the same sweep to 131072 ranks.
+// per-rank workload (fit points, pingpongs per measurement).  Slab-allocated
+// coroutine frames and rank state keep the default run cheap at this size;
+// bench_scale extends the same sweep to 131072 ranks.
 //
 // Expected shape: errors grow vs. the 512-rank runs (deeper trees, fatter
 // jitter tails), the hierarchical variants stay faster, and the run-to-run

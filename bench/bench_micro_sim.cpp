@@ -27,19 +27,17 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
-// Engine comparison (heap vs. ladder, the adaptive switchover's evidence):
-// the same workload against both engines across pending-set sizes from 1k to
-// 10M.  The heap pays O(log n) comparisons per operation; the ladder
-// amortizes O(1), so the ladder rows overtake as n grows.
+// The queue's per-op curve across pending-set sizes from 1k to 10M: the heap
+// pays O(log n) comparisons per operation, so these rows show where that log
+// starts to cost (docs/performance.md weighs it against end-to-end runs).
 
 // Burst-drain: push n random-time events, then drain completely — the
 // "window fill + window drain" shape of the PDES engine.
 void BM_EventQueueEngineBurstDrain(benchmark::State& state) {
-  const auto impl = static_cast<sim::QueueImpl>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng(1);
   for (auto _ : state) {
-    sim::EventQueue q(impl);
+    sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i) {
       q.push(rng.uniform() * 1e3, std::coroutine_handle<>::from_address(&q));
     }
@@ -47,27 +45,20 @@ void BM_EventQueueEngineBurstDrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
-  state.SetLabel(sim::queue_impl_name(impl));
 }
 BENCHMARK(BM_EventQueueEngineBurstDrain)
-    ->ArgNames({"impl", "n"})
-    ->Args({0, 1 << 10})
-    ->Args({1, 1 << 10})
-    ->Args({0, 1 << 15})
-    ->Args({1, 1 << 15})
-    ->Args({0, 1 << 20})
-    ->Args({1, 1 << 20})
-    ->Args({0, 10'000'000})
-    ->Args({1, 10'000'000});
+    ->ArgName("n")
+    ->Arg(1 << 10)
+    ->Arg(1 << 15)
+    ->Arg(1 << 20)
+    ->Arg(10'000'000);
 
 // Steady-state hold: a constant pending set of n events, each pop followed
 // by a reschedule a random distance past the frontier — the shape of a
-// long-running simulation, and where the ladder's O(1) amortized cost beats
-// the heap's O(log n) once n is large.
+// long-running simulation.
 void BM_EventQueueEngineSteadyState(benchmark::State& state) {
-  const auto impl = static_cast<sim::QueueImpl>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  sim::EventQueue q(impl);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue q;
   sim::Rng rng(1);
   for (std::size_t i = 0; i < n; ++i) {
     q.push(rng.uniform() * 10.0, std::coroutine_handle<>::from_address(&q));
@@ -78,18 +69,13 @@ void BM_EventQueueEngineSteadyState(benchmark::State& state) {
     q.push(ev.time + rng.uniform() * 10.0, ev.handle);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(sim::queue_impl_name(impl));
 }
 BENCHMARK(BM_EventQueueEngineSteadyState)
-    ->ArgNames({"impl", "n"})
-    ->Args({0, 1 << 10})
-    ->Args({1, 1 << 10})
-    ->Args({0, 1 << 15})
-    ->Args({1, 1 << 15})
-    ->Args({0, 1 << 20})
-    ->Args({1, 1 << 20})
-    ->Args({0, 10'000'000})
-    ->Args({1, 10'000'000});
+    ->ArgName("n")
+    ->Arg(1 << 10)
+    ->Arg(1 << 15)
+    ->Arg(1 << 20)
+    ->Arg(10'000'000);
 
 void BM_SimulationDelayChain(benchmark::State& state) {
   const int hops = static_cast<int>(state.range(0));

@@ -4,13 +4,13 @@
 // Two tables per run:
 //   - the results table on stdout is fully deterministic (simulated sync
 //     duration, accuracy, total events processed): byte-identical for any
-//     --jobs, --shards, or --queue combination — the `scale` ctest slice
-//     asserts exactly this at smoke size, and scripts/bench_perf.sh's
-//     fig_scale mode re-asserts it at sweep size;
+//     --jobs or --shards combination — the `scale` ctest slice
+//     asserts exactly this at smoke size;
 //   - the host table on stderr carries what depends on the machine running
 //     the simulator (wall-clock seconds, events/second, peak RSS and the
-//     coroutine-frame-pool reservation) and is the evidence for the ladder
-//     queue + slab allocation work (BENCH_pr7.json).
+//     coroutine-frame-pool reservation) and is the evidence for the slab
+//     allocation work (BENCH_pr7.json) and the event-queue measurements in
+//     docs/performance.md.
 //
 // --ranks R[,R...] overrides the sweep (each R rounds up to whole 16-core
 // Titan nodes), which is how the smoke tests keep this binary cheap.
@@ -124,9 +124,6 @@ int main(int argc, char** argv) {
       "jk/" + std::to_string(nfit) + "/skampi_offset/" + std::to_string(npp),
   };
 
-  // The engine name stays out of the stdout header: stdout must be
-  // byte-identical for every --queue choice (it is printed with the host
-  // metrics on stderr instead).
   print_header("bench_scale", "HCA3 vs. sequential JK across Titan node counts",
                topology::titan(), opt);
 
@@ -175,9 +172,9 @@ int main(int argc, char** argv) {
   if (opt.csv) results.print_csv(std::cout);
 
   // Host-dependent numbers go to stderr so stdout stays byte-identical
-  // across queue engines, shard counts and job counts.
-  std::cerr << "\n--- host metrics (non-deterministic; machine-dependent; queue engine: "
-            << sim::queue_impl_name(opt.queue) << ", shards: " << opt.shards << ") ---\n";
+  // across shard counts and job counts.
+  std::cerr << "\n--- host metrics (non-deterministic; machine-dependent; shards: "
+            << opt.shards << ") ---\n";
   host.print(std::cerr);
   if (opt.csv) host.print_csv(std::cerr);
   record_memory_metrics();

@@ -8,10 +8,9 @@
 #   scripts/bench_perf.sh [BUILD_DIR]             (default: build)
 #   scripts/bench_perf.sh [BUILD_DIR] fig_scale   bench_scale rank sweep
 #
-# fig_scale runs bench_scale once per (rank count x queue engine), asserts
-# the deterministic stdout is byte-identical between the heap and ladder
-# engines at every point, and writes the per-point host metrics (wall time,
-# events/sec, peak RSS, frame-pool reservation) as JSON (BENCH_pr7.json).
+# fig_scale runs bench_scale once per rank count and writes the per-point
+# host metrics (wall time, events/sec, peak RSS, frame-pool reservation) as
+# JSON (BENCH_pr7.json holds an earlier capture).
 #
 # Environment:
 #   BENCH_OUT       output path (default: BENCH_pr2.json, or BENCH_pr7.json
@@ -40,19 +39,13 @@ if [[ "$MODE" == "fig_scale" ]]; then
   WORK=$(mktemp -d)
   trap 'rm -rf "$WORK"' EXIT
   for r in ${RANKS//,/ }; do
-    for q in heap ladder; do
-      echo "bench_perf.sh: bench_scale --ranks $r --queue $q --shards $SHARDS" >&2
-      # Fresh process per point: peak RSS is a process-lifetime high-water
-      # mark, so sharing a process would attribute the largest World to
-      # every point.  --jobs 1 keeps the two algorithms sequential for the
-      # same reason.
-      "$SCALE_BIN" --ranks "$r" --queue "$q" --shards "$SHARDS" --jobs 1 \
-        --seed "$SEED" --csv \
-        > "$WORK/out_${r}_${q}" 2> "$WORK/host_${r}_${q}"
-    done
-    cmp -s "$WORK/out_${r}_heap" "$WORK/out_${r}_ladder" \
-      || { echo "bench_perf.sh: bench_scale stdout differs between the heap and ladder engines at $r ranks" >&2; exit 1; }
-    echo "bench_perf.sh: stdout byte-identical heap vs ladder at $r ranks" >&2
+    echo "bench_perf.sh: bench_scale --ranks $r --shards $SHARDS" >&2
+    # Fresh process per point: peak RSS is a process-lifetime high-water
+    # mark, so sharing a process would attribute the largest World to every
+    # point.  --jobs 1 keeps the two algorithms sequential for the same
+    # reason.
+    "$SCALE_BIN" --ranks "$r" --shards "$SHARDS" --jobs 1 --seed "$SEED" --csv \
+      > "$WORK/out_${r}" 2> "$WORK/host_${r}"
   done
   python3 - "$WORK" "$OUT" "$RANKS" "$SHARDS" "$SEED" "$(nproc)" <<'PY'
 import json
@@ -61,7 +54,6 @@ import sys
 
 work, out_path, ranks_csv, shards, seed, nproc = sys.argv[1:7]
 ranks = [int(r) for r in ranks_csv.split(",")]
-queues = ["heap", "ladder"]
 
 def csv_rows(path):
     """The 6-column CSV rows a bench_scale table printed with --csv."""
@@ -76,53 +68,42 @@ def csv_rows(path):
 points = []
 summary = {}
 for r in ranks:
-    per_queue = {}
-    for q in queues:
-        det = csv_rows(f"{work}/out_{r}_{q}")
-        host = csv_rows(f"{work}/host_{r}_{q}")
-        total_events, total_wall, peak = 0, 0.0, 0.0
-        for d, h in zip(det, host):
-            alg, _, dur, off0, off1, events = d
-            _, _, wall, eps, rss, pool = h
-            points.append({
-                "ranks": r,
-                "queue": q,
-                "algorithm": alg,
-                "sync_duration_s": float(dur),
-                "max_offset_0s_us": float(off0),
-                "max_offset_1s_us": float(off1),
-                "events": int(events),
-                "wall_s": float(wall),
-                "events_per_s": int(eps),
-                "peak_rss_mib": float(rss),
-                "frame_pool_mib": float(pool),
-            })
-            total_events += int(events)
-            total_wall += float(wall)
-            peak = max(peak, float(rss))
-        per_queue[q] = {
-            "wall_s": round(total_wall, 2),
-            "events_per_s": round(total_events / total_wall) if total_wall else 0,
-            "peak_rss_mib": peak,
-        }
-    summary[str(r)] = dict(per_queue)
-    summary[str(r)]["ladder_speedup"] = round(
-        per_queue["heap"]["wall_s"] / per_queue["ladder"]["wall_s"], 3)
+    det = csv_rows(f"{work}/out_{r}")
+    host = csv_rows(f"{work}/host_{r}")
+    total_events, total_wall, peak = 0, 0.0, 0.0
+    for d, h in zip(det, host):
+        alg, _, dur, off0, off1, events = d
+        _, _, wall, eps, rss, pool = h
+        points.append({
+            "ranks": r,
+            "algorithm": alg,
+            "sync_duration_s": float(dur),
+            "max_offset_0s_us": float(off0),
+            "max_offset_1s_us": float(off1),
+            "events": int(events),
+            "wall_s": float(wall),
+            "events_per_s": int(eps),
+            "peak_rss_mib": float(rss),
+            "frame_pool_mib": float(pool),
+        })
+        total_events += int(events)
+        total_wall += float(wall)
+        peak = max(peak, float(rss))
+    summary[str(r)] = {
+        "wall_s": round(total_wall, 2),
+        "events_per_s": round(total_events / total_wall) if total_wall else 0,
+        "peak_rss_mib": peak,
+    }
 
 result = {
-    "suite": os.environ.get(
-        "BENCH_SUITE", "pr7: million-rank scale — ladder queue + slab-allocated rank state"),
+    "suite": os.environ.get("BENCH_SUITE", "bench_scale rank sweep"),
     "notes": [
-        "one bench_scale process per (ranks, queue) point; --jobs 1, so peak_rss_mib is attributable to that point's Worlds",
-        "stdout (sync durations, offsets, event counts) verified byte-identical between the heap and ladder engines at every rank count before this file was written",
+        "one bench_scale process per rank count; --jobs 1, so peak_rss_mib is attributable to that point's Worlds",
         "events_per_s in summary is total events / total wall over both algorithms at that point; per-algorithm rates are in points[]",
-        "ladder_speedup = heap wall / ladder wall at the same rank count; > 1 means the ladder queue is ahead",
     ],
     "machine": {"nproc": int(nproc)},
-    "config": {"ranks": ranks, "queues": queues, "shards": int(shards),
+    "config": {"ranks": ranks, "shards": int(shards),
                "jobs": 1, "seed": int(seed), "scale": 0.05},
-    "determinism": {"stdout_byte_identical_heap_vs_ladder": True,
-                    "verified_rank_counts": ranks},
     "points": points,
     "summary": summary,
 }

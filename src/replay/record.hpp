@@ -15,8 +15,8 @@
 // appends never race or reallocate), and serialization walks worlds and
 // ranks in index order.  Because every recorded quantity is part of the
 // simulated timeline — which the engine already guarantees is bit-identical
-// across --jobs/--shards/--queue — recordings are byte-identical across all
-// three knobs; tests/replay/test_invariance.cpp gates this.
+// across --jobs/--shards — recordings are byte-identical across both knobs;
+// tests/replay/test_invariance.cpp gates this.
 //
 // The recorder is installed per-thread (install_recorder / ScopedRecorder),
 // mirroring trace::Tracer: runner::TrialRunner gives each concurrent trial

@@ -1,62 +1,25 @@
-// Time-ordered event queue.
+// Time-ordered event queue: a 4-ary implicit min-heap.
 //
 // Events at equal timestamps fire in insertion order (sequence-number
-// tie-break) so runs are bit-deterministic.  (time, seq) is a *total* order,
-// so every correct implementation pops the exact same sequence — which is
-// what lets two engines coexist behind one interface:
-//
-// * **4-ary implicit min-heap** (the default engine below ~32k pending
-//   events): compared with the binary heap it halves the tree depth, so a
-//   push/pop pair touches fewer cache lines and sift-down decides among four
-//   children that share one or two lines (an Event is 24 bytes).  Pops use
-//   the bottom-up heapsort trick.  O(log n) per op — the log starts to bite
-//   once a 100k-rank World keeps 100k+ events pending.
-// * **Ladder queue** (Tang et al.): an unsorted far-future "top" tier, a
-//   stack of bucket-array rungs that subdivide lazily as buckets drain, and
-//   a small 4-ary heap as the "bottom" tier that serves pops.  Amortized
-//   O(1) per event for the timestamp distributions a simulator produces.
-//   Determinism needs no extra care: the bottom heap orders by the same
-//   (time, seq) total order, and bucketing by time can never reorder two
-//   events across the (time, seq) comparison.
-//
-// The engine is chosen per-queue (QueueImpl) with a process-wide default
-// (set_default_queue_impl, e.g. from the shared --queue bench flag).
-// kAdaptive starts on the heap and migrates to the ladder the first time the
-// population crosses kAdaptiveSwitch — small sims keep the heap's tiny
-// constants, huge sims get O(1).  bench_micro_sim (BM_EventQueuePushPop,
-// BM_EventQueueHold) measures both engines from 1k to 10M pending events;
-// tests/sim/test_event_queue.cpp asserts the ordering contract on every
-// engine and tests/scale/test_queue_differential.cpp diffs heap vs. ladder
-// pop sequences over millions of randomized mixed operations.
+// tie-break) so runs are bit-deterministic.  Compared with a binary heap the
+// 4-ary layout halves the tree depth, so a push/pop pair touches fewer cache
+// lines and sift-down decides among four children that share one or two
+// lines (an Event is 24 bytes).  Pops use the bottom-up heapsort trick.
+// O(log n) per op; docs/performance.md has the end-to-end measurements that
+// keep this one engine even at 100k+ pending events.
+// bench_micro_sim (BM_EventQueueEngine*) measures it from 1k to 10M pending
+// events; tests/sim/test_event_queue.cpp asserts the ordering contract and
+// tests/scale/test_queue_differential.cpp diffs the pop sequence against an
+// ordered reference over millions of randomized mixed operations.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <limits>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace hcs::sim {
-
-/// Event-queue engine selection.
-enum class QueueImpl : std::uint8_t {
-  kHeap,      ///< always the 4-ary heap
-  kLadder,    ///< always the ladder queue
-  kAdaptive,  ///< heap until kAdaptiveSwitch events are pending, then ladder
-};
-
-/// Process-wide default engine for newly constructed queues (kAdaptive until
-/// overridden).  Benches route the shared --queue / HCLOCKSYNC_QUEUE flag
-/// here before building Worlds.
-void set_default_queue_impl(QueueImpl impl) noexcept;
-QueueImpl default_queue_impl() noexcept;
-
-/// "heap" / "ladder" / "adaptive" <-> QueueImpl (for flags and reports).
-std::optional<QueueImpl> queue_impl_from_string(std::string_view name) noexcept;
-const char* queue_impl_name(QueueImpl impl) noexcept;
 
 class EventQueue {
  public:
@@ -66,55 +29,46 @@ class EventQueue {
     std::coroutine_handle<> handle;
   };
 
-  EventQueue() : EventQueue(default_queue_impl()) {}
-  explicit EventQueue(QueueImpl impl)
-      : configured_(impl), ladder_active_(impl == QueueImpl::kLadder) {}
-
   // push/pop are defined inline: they sit on the simulator's per-event hot
-  // path and must inline into Simulation::run and the delay awaiter.  Only
-  // the ladder engine's bodies are out of line.
+  // path and must inline into Simulation::run_window and the delay awaiter.
   void push(Time time, std::coroutine_handle<> handle) {
+    // Sift up with a moving hole: write the new event only once, into its
+    // final slot, instead of swapping down the path.  The no-move case (new
+    // event belongs at the end — always true for a near-empty queue) keeps
+    // the single store done by push_back.
     const Event ev{time, next_seq_++, handle};
-    if (!ladder_active_) {
-      heap_push(heap_, ev);
-      if (configured_ == QueueImpl::kAdaptive && heap_.size() >= kAdaptiveSwitch) {
-        migrate_to_ladder();
-      }
-      return;
+    std::size_t hole = heap_.size();
+    heap_.push_back(ev);
+    if (hole > 0 && before(ev, heap_[(hole - 1) / kArity])) {
+      do {
+        const std::size_t parent = (hole - 1) / kArity;
+        heap_[hole] = heap_[parent];
+        hole = parent;
+      } while (hole > 0 && before(ev, heap_[(hole - 1) / kArity]));
+      heap_[hole] = ev;
     }
-    ladder_push(ev);
   }
 
-  bool empty() const noexcept {
-    return ladder_active_ ? ladder_size_ == 0 : heap_.empty();
-  }
-  std::size_t size() const noexcept {
-    return ladder_active_ ? ladder_size_ : heap_.size();
-  }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
 
-  /// Earliest event time; queue must be non-empty.  For the ladder engine the
-  /// peek may have to refill the bottom tier (allocation failure terminates —
-  /// acceptable for a simulator that would OOM an instant later anyway).
-  Time next_time() const noexcept {
-    if (!ladder_active_) return heap_.front().time;
-    return const_cast<EventQueue*>(this)->ladder_next_time();
-  }
+  /// Earliest event time; queue must be non-empty.
+  Time next_time() const noexcept { return heap_.front().time; }
 
   /// Removes and returns the earliest event; queue must be non-empty.
   Event pop() {
-    if (!ladder_active_) {
-      Event top = heap_.front();
-      if (heap_.size() > 1) {
-        const Event last = heap_.back();
-        heap_.pop_back();
-        sift_down(heap_, 0, last);
-      } else {
-        heap_.pop_back();  // single element: no displaced event to re-sift
-      }
-      maybe_shrink(heap_);
-      return top;
+    Event top = heap_.front();
+    if (heap_.size() > 1) {
+      const Event last = heap_.back();
+      heap_.pop_back();
+      sift_down(last);
+    } else {
+      heap_.pop_back();  // single element: no displaced event to re-sift
     }
-    return ladder_pop();
+    if (heap_.capacity() >= kShrinkMinCapacity && heap_.size() < heap_.capacity() / 4) {
+      shrink();
+    }
+    return top;
   }
 
   /// Drops all pending events without resuming them.  Coroutine frames are
@@ -123,106 +77,29 @@ class EventQueue {
   /// reused queue behaves exactly like a fresh one.
   void clear() noexcept;
 
-  /// Engine this queue was constructed with.
-  QueueImpl configured_impl() const noexcept { return configured_; }
-  /// True once the ladder engine is serving (immediately for kLadder,
-  /// after the adaptive switch for kAdaptive, never for kHeap).
-  bool ladder_active() const noexcept { return ladder_active_; }
-
-  /// Total Event slots of backing storage currently reserved, across every
-  /// internal structure.  Diagnostics/tests only: the pop-shrink policy is
-  /// asserted with this (a drained queue must not pin a burst's memory).
-  std::size_t backing_capacity() const noexcept;
-
-  /// Population at which kAdaptive migrates to the ladder.  bench_micro_sim's
-  /// heap-vs-ladder sweep puts the crossover between 16k and 64k pending
-  /// events on this container class (BENCH_pr7.json).
-  static constexpr std::size_t kAdaptiveSwitch = 32768;
+  /// Event slots of backing storage currently reserved.  Diagnostics/tests
+  /// only: the pop-shrink policy is asserted with this (a drained queue must
+  /// not pin a burst's memory).
+  std::size_t backing_capacity() const noexcept { return heap_.capacity(); }
 
  private:
   static constexpr std::size_t kArity = 4;
-  // Shrink policy: after a pop leaves a vector at < 1/4 of a >= 4096-slot
+  // Shrink policy: after a pop leaves the heap at < 1/4 of a >= 4096-slot
   // capacity, reallocate to 2x the live size.  Amortized O(1) per pop, and a
   // fully drained 10M-event burst ends below 4096 slots (~96 KiB).
   static constexpr std::size_t kShrinkMinCapacity = 4096;
-  // Ladder tuning: buckets bigger than kSpawnThreshold subdivide into a
-  // sub-rung instead of heapifying into the bottom tier; rung bucket counts
-  // are clamped to [kMinBuckets, kMaxBuckets]; kMaxRungs bounds subdivision
-  // depth (beyond it everything falls through to the bottom heap).
-  static constexpr std::size_t kSpawnThreshold = 512;
-  static constexpr std::size_t kMinBuckets = 4;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
-  static constexpr std::size_t kMaxRungs = 64;
 
   static bool before(const Event& a, const Event& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
-  // Generic 4-ary heap primitives shared by the main heap engine and the
-  // ladder's bottom tier (identical comparator => identical pop order).
-  static void heap_push(std::vector<Event>& v, const Event& ev) {
-    // Sift up with a moving hole: write the new event only once, into its
-    // final slot, instead of swapping down the path.  The no-move case (new
-    // event belongs at the end — always true for a near-empty queue) keeps
-    // the single store done by push_back.
-    std::size_t hole = v.size();
-    v.push_back(ev);
-    if (hole > 0 && before(ev, v[(hole - 1) / kArity])) {
-      do {
-        const std::size_t parent = (hole - 1) / kArity;
-        v[hole] = v[parent];
-        hole = parent;
-      } while (hole > 0 && before(ev, v[(hole - 1) / kArity]));
-      v[hole] = ev;
-    }
-  }
-  static void sift_down(std::vector<Event>& v, std::size_t hole,
-                        Event ev) noexcept;
-  static void heapify(std::vector<Event>& v) noexcept;
-  static void maybe_shrink(std::vector<Event>& v) {
-    if (v.capacity() >= kShrinkMinCapacity && v.size() < v.capacity() / 4) {
-      shrink(v);
-    }
-  }
-  static void shrink(std::vector<Event>& v);
+  // Re-seats `ev` (the displaced last event) from the root hole.
+  void sift_down(Event ev) noexcept;
+  void shrink();
 
-  // Ladder engine (see file comment).  `top_` holds events with
-  // time >= top_start_, unsorted.  `rungs_` is a stack, coarsest first; rung
-  // bucket b spans [start + b*width, start + (b+1)*width), buckets below
-  // `cur` are drained.  `bottom_` is a 4-ary (time, seq) min-heap serving
-  // pops.  Structure order is a class invariant: every event in bottom_
-  // precedes every live rung event precedes every top_ event in (time, seq).
-  struct Rung {
-    Time start;
-    double width;
-    std::size_t cur;
-    std::vector<std::vector<Event>> buckets;
-  };
-
-  void migrate_to_ladder();
-  void ladder_push(const Event& ev);
-  Event ladder_pop();
-  Time ladder_next_time() noexcept;
-  void refill_bottom();
-  void transfer_top();
-  // Distributes `events` into a fresh rung appended to rungs_.  Returns
-  // false (leaving rungs_ untouched) when the span cannot be subdivided —
-  // all-equal timestamps, non-finite span, or rung depth exhausted — in
-  // which case the caller heapifies into bottom_ instead.
-  bool try_spawn_rung(std::vector<Event>& events);
-
-  QueueImpl configured_;
-  bool ladder_active_;
   std::uint64_t next_seq_ = 0;
-
-  std::vector<Event> heap_;  // heap engine storage
-
-  std::vector<Event> top_;
-  Time top_start_ = std::numeric_limits<Time>::lowest();
-  std::vector<Rung> rungs_;
-  std::vector<Event> bottom_;
-  std::size_t ladder_size_ = 0;
+  std::vector<Event> heap_;
 };
 
 }  // namespace hcs::sim

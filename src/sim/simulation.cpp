@@ -89,33 +89,14 @@ void Simulation::on_root_finished(std::size_t live_index, std::exception_ptr err
 }
 
 void Simulation::run(std::uint64_t max_events) {
-  // A process may have failed before its first suspension (spawn is eager).
-  if (first_error_) {
-    queue_.clear();
-    auto error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-  // Metrics are reported once per run(), never inside the per-event loop:
-  // bench_micro_sim guards the loop's per-event cost.
+  // The same loop the sharded World engine drives, as one unbounded window.
+  // No event is ever scheduled at kTimeInfinity, so the strict `< window_end`
+  // bound drains the queue.  Metrics are reported once per run(), never
+  // inside the per-event loop: bench_micro_sim guards the loop's per-event
+  // cost.
   const std::uint64_t events_before = events_processed_;
-  while (!queue_.empty()) {
-    if (events_processed_ >= max_events) {
-      throw std::runtime_error("Simulation::run: event budget exceeded (" +
-                               std::to_string(max_events) + " events)");
-    }
-    const EventQueue::Event ev = queue_.pop();
-    assert(ev.time >= now_);
-    now_ = ev.time;
-    ++events_processed_;
-    ev.handle.resume();
-    if (first_error_) {
-      queue_.clear();
-      auto error = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(error);
-    }
-  }
+  run_window(kTimeInfinity, max_events);
+  if (std::exception_ptr error = take_error()) std::rethrow_exception(error);
   HCS_METRIC_ADD("sim.events_processed", events_processed_ - events_before);
   HCS_METRIC_SET("sim.virtual_time_s", now_);
   HCS_METRIC_SET("sim.processes_spawned", static_cast<double>(spawned_));

@@ -56,14 +56,15 @@ class Simulation {
   /// (until its first suspension); completion is tracked by run().
   void spawn(Task<void> task);
 
-  /// Runs until the event queue is empty.  Throws if a process threw, or if
-  /// more than `max_events` events fire (runaway guard).
+  /// Runs until the event queue is empty: run_window(kTimeInfinity) followed
+  /// by a rethrow of take_error().  Throws if a process threw, or if more
+  /// than `max_events` events fire (runaway guard).
   void run(std::uint64_t max_events = UINT64_MAX);
 
   /// Windowed execution for the sharded World engine: processes events with
   /// time strictly below `window_end` (ties with `window_end` stay queued for
   /// the next window).  Never throws — errors (including the event-budget
-  /// guard, compared against lifetime events_processed() like run()) are
+  /// guard, compared against lifetime events_processed()) are
   /// parked for take_error() so shard threads can't unwind across the
   /// barrier.  Reports no metrics; the engine reports once per World::run.
   void run_window(Time window_end, std::uint64_t max_events = UINT64_MAX);
@@ -75,8 +76,8 @@ class Simulation {
   Time next_event_time() const noexcept { return queue_.next_time(); }
 
   /// Hands back (and clears) the first process/budget error recorded by
-  /// run_window, dropping all still-queued events — mirroring run()'s
-  /// throw-path cleanup.  Returns nullptr when no error is pending.
+  /// run_window, dropping all still-queued events.  Returns nullptr when no
+  /// error is pending.
   std::exception_ptr take_error();
 
   std::uint64_t events_processed() const noexcept { return events_processed_; }

@@ -95,14 +95,6 @@ int Cli::jobs(int fallback) const {
   return static_cast<int>(j);
 }
 
-std::string Cli::queue(const std::string& fallback) const {
-  std::string q = fallback;
-  if (const char* env = std::getenv("HCLOCKSYNC_QUEUE")) {
-    q = env;
-  }
-  return get("queue", q);
-}
-
 int Cli::shards(int fallback) const {
   std::int64_t s = fallback;
   if (const char* env = std::getenv("HCLOCKSYNC_SHARDS")) {

@@ -56,11 +56,6 @@ class Cli {
   /// jobs parallelizes across independent trials, shards inside one World.
   int shards(int fallback = 1) const;
 
-  /// Event-queue engine name: --queue beats $HCLOCKSYNC_QUEUE beats
-  /// fallback.  Returned verbatim; callers validate against the engine set
-  /// (sim::queue_impl_from_string) so the error can name the binary.
-  std::string queue(const std::string& fallback) const;
-
   /// Observability outputs: "--trace-out run.json" requests a Chrome-trace
   /// dump, "--metrics-out run.csv" a metrics CSV.  Empty = disabled.
   std::string trace_out() const { return get("trace-out", ""); }

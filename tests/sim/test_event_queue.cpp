@@ -14,22 +14,8 @@ std::coroutine_handle<> tag(std::uintptr_t v) {
   return std::coroutine_handle<>::from_address(reinterpret_cast<void*>(v));
 }
 
-// Every ordering test runs against every engine: the (time, seq) contract is
-// a total order, so heap, ladder and adaptive must pop identical sequences.
-class EventQueueAllImpls : public ::testing::TestWithParam<QueueImpl> {
- protected:
-  EventQueue make() const { return EventQueue(GetParam()); }
-};
-
-INSTANTIATE_TEST_SUITE_P(Engines, EventQueueAllImpls,
-                         ::testing::Values(QueueImpl::kHeap, QueueImpl::kLadder,
-                                           QueueImpl::kAdaptive),
-                         [](const auto& info) {
-                           return std::string(queue_impl_name(info.param));
-                         });
-
-TEST_P(EventQueueAllImpls, PopsInTimeOrder) {
-  EventQueue q = make();
+TEST(EventQueue, PopsInTimeOrder) {
+  EventQueue q;
   q.push(3.0, tag(3));
   q.push(1.0, tag(1));
   q.push(2.0, tag(2));
@@ -39,8 +25,8 @@ TEST_P(EventQueueAllImpls, PopsInTimeOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueAllImpls, TiesBreakByInsertionOrder) {
-  EventQueue q = make();
+TEST(EventQueue, TiesBreakByInsertionOrder) {
+  EventQueue q;
   q.push(1.0, tag(10));
   q.push(1.0, tag(20));
   q.push(1.0, tag(30));
@@ -49,16 +35,16 @@ TEST_P(EventQueueAllImpls, TiesBreakByInsertionOrder) {
   EXPECT_EQ(q.pop().handle.address(), tag(30).address());
 }
 
-TEST_P(EventQueueAllImpls, NextTimePeeksWithoutPopping) {
-  EventQueue q = make();
+TEST(EventQueue, NextTimePeeksWithoutPopping) {
+  EventQueue q;
   q.push(5.0, tag(1));
   q.push(2.0, tag(2));
   EXPECT_EQ(q.next_time(), 2.0);
   EXPECT_EQ(q.size(), 2u);
 }
 
-TEST_P(EventQueueAllImpls, SizeTracksPushPop) {
-  EventQueue q = make();
+TEST(EventQueue, SizeTracksPushPop) {
+  EventQueue q;
   EXPECT_EQ(q.size(), 0u);
   q.push(1.0, tag(1));
   q.push(2.0, tag(2));
@@ -67,16 +53,16 @@ TEST_P(EventQueueAllImpls, SizeTracksPushPop) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST_P(EventQueueAllImpls, ClearDropsEverything) {
-  EventQueue q = make();
+TEST(EventQueue, ClearDropsEverything) {
+  EventQueue q;
   q.push(1.0, tag(1));
   q.push(2.0, tag(2));
   q.clear();
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueAllImpls, InterleavedPushPopKeepsOrder) {
-  EventQueue q = make();
+TEST(EventQueue, InterleavedPushPopKeepsOrder) {
+  EventQueue q;
   q.push(4.0, tag(4));
   q.push(1.0, tag(1));
   EXPECT_EQ(q.pop().time, 1.0);
@@ -87,8 +73,8 @@ TEST_P(EventQueueAllImpls, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(q.pop().time, 4.0);
 }
 
-TEST_P(EventQueueAllImpls, ManyEventsSorted) {
-  EventQueue q = make();
+TEST(EventQueue, ManyEventsSorted) {
+  EventQueue q;
   for (int i = 999; i >= 0; --i) q.push(static_cast<Time>(i % 97), tag(1));
   Time last = -1;
   while (!q.empty()) {
@@ -101,8 +87,8 @@ TEST_P(EventQueueAllImpls, ManyEventsSorted) {
 // The ordering contract the simulator depends on: among equal timestamps,
 // pops come in push order (FIFO), even when pushes at that timestamp are
 // interleaved with pushes and pops at other timestamps.
-TEST_P(EventQueueAllImpls, InterleavedEqualTimesStayFifo) {
-  EventQueue q = make();
+TEST(EventQueue, InterleavedEqualTimesStayFifo) {
+  EventQueue q;
   q.push(2.0, tag(1));
   q.push(1.0, tag(9));
   q.push(2.0, tag(2));
@@ -118,15 +104,14 @@ TEST_P(EventQueueAllImpls, InterleavedEqualTimesStayFifo) {
   EXPECT_EQ(q.pop().handle.address(), tag(8).address());
 }
 
-// Randomized check against a reference sort by (time, push order): every
-// engine must produce exactly the stable order, whatever the internal
-// bucketing or sift details.
-TEST_P(EventQueueAllImpls, RandomizedMatchesStableOrder) {
+// Randomized check against a reference sort by (time, push order): the heap
+// must produce exactly the stable order, whatever the sift details.
+TEST(EventQueue, RandomizedMatchesStableOrder) {
   std::mt19937_64 rng(42);
   // Few distinct timestamps => many ties, stressing the seq tiebreak.
   std::uniform_int_distribution<int> time_dist(0, 20);
   for (int round = 0; round < 20; ++round) {
-    EventQueue q = make();
+    EventQueue q;
     struct Ref {
       Time time;
       std::uintptr_t id;
@@ -151,8 +136,8 @@ TEST_P(EventQueueAllImpls, RandomizedMatchesStableOrder) {
 
 // clear() must also reset the tiebreak sequence so a reused queue orders
 // exactly like a fresh one.
-TEST_P(EventQueueAllImpls, ReuseAfterClearKeepsFifoTies) {
-  EventQueue q = make();
+TEST(EventQueue, ReuseAfterClearKeepsFifoTies) {
+  EventQueue q;
   q.push(1.0, tag(1));
   q.push(1.0, tag(2));
   q.clear();
@@ -167,8 +152,8 @@ TEST_P(EventQueueAllImpls, ReuseAfterClearKeepsFifoTies) {
 // A drained burst must not pin its peak memory: the pop-shrink policy has to
 // walk the backing capacity back down below kShrinkMinCapacity (4096 slots)
 // once the events are gone.
-TEST_P(EventQueueAllImpls, DrainedBurstReleasesCapacity) {
-  EventQueue q = make();
+TEST(EventQueue, DrainedBurstReleasesCapacity) {
+  EventQueue q;
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> time_dist(0.0, 1000.0);
   constexpr std::size_t kBurst = 200000;
@@ -181,60 +166,6 @@ TEST_P(EventQueueAllImpls, DrainedBurstReleasesCapacity) {
     last = t;
   }
   EXPECT_LT(q.backing_capacity(), 4096u);
-}
-
-// kAdaptive must hand off from the heap to the ladder mid-stream without
-// disturbing the pop order.
-TEST(EventQueueAdaptive, MigratesAtThresholdAndKeepsOrder) {
-  EventQueue q(QueueImpl::kAdaptive);
-  EXPECT_FALSE(q.ladder_active());
-  std::mt19937_64 rng(11);
-  std::uniform_int_distribution<int> time_dist(0, 999);
-  const std::size_t n = EventQueue::kAdaptiveSwitch + 1000;
-  std::vector<Time> ref;
-  ref.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Time t = static_cast<Time>(time_dist(rng));
-    q.push(t, tag(i + 1));
-    ref.push_back(t);
-  }
-  EXPECT_TRUE(q.ladder_active());
-  std::sort(ref.begin(), ref.end());
-  for (const Time expected : ref) {
-    ASSERT_FALSE(q.empty());
-    ASSERT_EQ(q.pop().time, expected);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueAdaptive, ClearResetsToHeapEngine) {
-  EventQueue q(QueueImpl::kAdaptive);
-  for (std::size_t i = 0; i <= EventQueue::kAdaptiveSwitch; ++i) {
-    q.push(1.0, tag(1));
-  }
-  EXPECT_TRUE(q.ladder_active());
-  q.clear();
-  EXPECT_FALSE(q.ladder_active());
-  EXPECT_EQ(q.configured_impl(), QueueImpl::kAdaptive);
-}
-
-TEST(EventQueueImpl, NamesRoundTrip) {
-  for (const QueueImpl impl :
-       {QueueImpl::kHeap, QueueImpl::kLadder, QueueImpl::kAdaptive}) {
-    const auto parsed = queue_impl_from_string(queue_impl_name(impl));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, impl);
-  }
-  EXPECT_FALSE(queue_impl_from_string("fibonacci").has_value());
-}
-
-TEST(EventQueueImpl, ProcessDefaultSelectsEngine) {
-  const QueueImpl saved = default_queue_impl();
-  set_default_queue_impl(QueueImpl::kLadder);
-  EXPECT_TRUE(EventQueue().ladder_active());
-  set_default_queue_impl(QueueImpl::kHeap);
-  EXPECT_FALSE(EventQueue().ladder_active());
-  set_default_queue_impl(saved);
 }
 
 }  // namespace
