@@ -89,6 +89,20 @@ TEST(Simulation, EventBudgetGuardsRunaway) {
   EXPECT_THROW(sim.run(1000), std::runtime_error);
 }
 
+TEST(Simulation, EventBudgetMessageNamesTheBudget) {
+  Simulation sim;
+  sim.spawn([](Simulation& s) -> Task<void> {
+    for (;;) co_await s.delay(0.001);
+  }(sim));
+  try {
+    sim.run(1000);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "Simulation::run: event budget exceeded (1000 events)");
+  }
+  EXPECT_EQ(sim.events_processed(), 1000u);
+}
+
 TEST(Simulation, EventsProcessedCounted) {
   Simulation sim;
   sim.spawn([](Simulation& s) -> Task<void> {
@@ -106,6 +120,60 @@ TEST(Simulation, ExceptionInProcessSurfacesFromRun) {
     throw std::logic_error("process failed");
   }(sim));
   EXPECT_THROW(sim.run(), std::logic_error);
+}
+
+// spawn() starts a process eagerly, so it can fail before its first
+// suspension, with nothing queued; run() must still surface that error.
+TEST(Simulation, FailureBeforeFirstSuspensionSurfacesFromRun) {
+  Simulation sim;
+  sim.spawn([](Simulation& s) -> Task<void> {
+    throw std::logic_error("failed at spawn");
+    co_await s.delay(1.0);
+  }(sim));
+  EXPECT_TRUE(sim.idle());
+  EXPECT_THROW(sim.run(), std::logic_error);
+  EXPECT_NO_THROW(sim.run());  // the error is reported once
+}
+
+// A failed run() drops every still-queued event, so the Simulation can be
+// driven again from a clean queue.
+TEST(Simulation, RunAfterFailureStartsFromCleanQueue) {
+  Simulation sim;
+  bool survivor_resumed = false;
+  sim.spawn([](Simulation& s, bool* resumed) -> Task<void> {
+    co_await s.delay(10.0);
+    *resumed = true;
+  }(sim, &survivor_resumed));
+  sim.spawn([](Simulation& s) -> Task<void> {
+    co_await s.delay(0.5);
+    throw std::logic_error("process failed");
+  }(sim));
+  EXPECT_THROW(sim.run(), std::logic_error);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_DOUBLE_EQ(sim.now(), 0.5);
+
+  Time observed = -1;
+  sim.spawn([](Simulation& s, Time* out) -> Task<void> {
+    co_await s.delay(1.0);
+    *out = s.now();
+  }(sim, &observed));
+  sim.run();
+  EXPECT_DOUBLE_EQ(observed, 1.5);
+  EXPECT_FALSE(survivor_resumed);
+}
+
+// run() is one window ending at kTimeInfinity; any finite event time, however
+// far out, is strictly before it and must fire.
+TEST(Simulation, RunDrainsEventsAtHugeFiniteTimes) {
+  Simulation sim;
+  Time observed = -1;
+  sim.spawn([](Simulation& s, Time* out) -> Task<void> {
+    co_await s.delay(1e300);
+    *out = s.now();
+  }(sim, &observed));
+  sim.run();
+  EXPECT_DOUBLE_EQ(observed, 1e300);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Simulation, DeterministicTwoRunsSameSchedule) {
