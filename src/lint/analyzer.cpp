@@ -51,96 +51,28 @@ bool is_fixture_path(const std::string& rel) {
   return rel.find("tests/lint/fixtures") != std::string::npos;
 }
 
-// Mirrors Lexer::split_lines so cache hits (which skip the lexer) key
-// baselines identically to cold runs.
-std::vector<std::string> split_lines(const std::string& src) {
-  std::vector<std::string> lines;
-  std::string cur;
-  for (char c : src) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) lines.push_back(cur);
-  return lines;
-}
-
 bool keep_rule(const std::set<std::string>& enabled, const std::string& rule) {
   // bad-suppression diagnostics always surface: a typo in an allow() comment
   // must not hide behind --rule selection.
   return enabled.empty() || enabled.count(rule) > 0 || rule == "bad-suppression";
 }
 
-std::uint64_t summary_cache_key(const std::string& rel_path, const std::string& content) {
-  std::string key_src = "hcs-lint-summary ";
-  key_src += std::to_string(kSummaryFormatVersion);
-  key_src += '\n';
-  key_src += rel_path;
-  key_src += '\n';
-  key_src += content;
-  return fnv1a64(key_src);
-}
+}  // namespace
 
-fs::path cache_entry_path(const std::string& cache_dir, std::uint64_t key) {
-  std::ostringstream name;
-  name << std::hex << key;
-  return fs::path(cache_dir) / (name.str() + ".sum");
-}
-
-// Loads a cached summary for (rel_path, content); returns false on miss or
-// any mismatch (version, shape, stale path/hash) so the caller re-lexes.
-bool load_cached_summary(const std::string& cache_dir, const std::string& rel_path,
-                         std::uint64_t key, FileSummary* out) {
-  const fs::path entry = cache_entry_path(cache_dir, key);
-  std::error_code ec;
-  if (!fs::is_regular_file(entry, ec)) return false;
-  std::ifstream in(entry, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  if (!parse_summary(ss.str(), out)) return false;
-  return out->rel_path == rel_path && out->source_hash == key;
-}
-
-void store_cached_summary(const std::string& cache_dir, const FileSummary& summary) {
-  std::error_code ec;
-  fs::create_directories(cache_dir, ec);
-  if (ec) return;  // caching is best-effort: a read-only dir degrades to cold runs
-  const fs::path entry = cache_entry_path(cache_dir, summary.source_hash);
-  std::ofstream out(entry, std::ios::binary | std::ios::trunc);
-  if (out) out << serialize_summary(summary);
-}
-
-// The full two-phase pipeline over already-read (rel_path, content) pairs.
-AnalysisResult analyze_contents(const std::vector<std::pair<std::string, std::string>>& sources,
-                                const AnalyzerOptions& options) {
+AnalysisResult analyze_sources(const std::vector<std::pair<std::string, std::string>>& sources,
+                               const AnalyzerOptions& options) {
   const auto& now = options.now;
   const double t_start = now ? now() : 0.0;
   AnalysisResult result;
   std::map<std::string, double> rule_seconds;
 
-  // Phase 1: per-file summaries, via the cache when possible.
+  // Phase 1: per-file summaries.
   std::vector<FileSummary> summaries;
   summaries.reserve(sources.size());
   for (const auto& [rel, content] : sources) {
-    const std::uint64_t key = summary_cache_key(rel, content);
-    FileSummary summary;
-    if (!options.cache_dir.empty() &&
-        load_cached_summary(options.cache_dir, rel, key, &summary)) {
-      result.stats.cache_hits += 1;
-      result.lines.emplace(rel, split_lines(content));
-    } else {
-      const LexedFile lexed = lex(rel, content);
-      summary = build_summary(lexed, rel, now, &rule_seconds);
-      summary.source_hash = key;
-      if (!options.cache_dir.empty()) store_cached_summary(options.cache_dir, summary);
-      result.stats.files_lexed += 1;
-      result.lines.emplace(rel, lexed.lines);
-    }
-    summaries.push_back(std::move(summary));
+    LexedFile lexed = lex(rel, content);
+    summaries.push_back(build_summary(lexed, rel, now, &rule_seconds));
+    result.lines.emplace(rel, std::move(lexed.lines));
   }
   result.stats.files = static_cast<int>(summaries.size());
   const double t_phase1 = now ? now() : 0.0;
@@ -175,8 +107,6 @@ AnalysisResult analyze_contents(const std::vector<std::pair<std::string, std::st
   return result;
 }
 
-}  // namespace
-
 std::vector<Finding> analyze_source(const std::string& rel_path, const std::string& source,
                                     const AnalyzerOptions& options) {
   const FileSummary summary = build_summary(lex(rel_path, source), rel_path);
@@ -188,11 +118,6 @@ std::vector<Finding> analyze_source(const std::string& rel_path, const std::stri
   }
   std::sort(kept.begin(), kept.end());
   return kept;
-}
-
-AnalysisResult analyze_sources(const std::vector<std::pair<std::string, std::string>>& sources,
-                               const AnalyzerOptions& options) {
-  return analyze_contents(sources, options);
 }
 
 AnalysisResult analyze_paths(const std::vector<std::string>& paths,
@@ -233,7 +158,7 @@ AnalysisResult analyze_paths(const std::vector<std::string>& paths,
     throw std::runtime_error(
         "hcs-lint: no C++ sources found under the given paths — check the path arguments");
   }
-  return analyze_contents(sources, options);
+  return analyze_sources(sources, options);
 }
 
 std::vector<Finding> apply_baseline(const AnalysisResult& result, Baseline baseline) {

@@ -1,8 +1,6 @@
 #include "lint/summary.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
 #include "lint/rules.hpp"
 #include "lint/token_scan.hpp"
@@ -345,97 +343,11 @@ void scan_rank_branches(const Toks& t, const FuncExtent& fe,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Serialization helpers
-// ---------------------------------------------------------------------------
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out.push_back(s[i]);
-      continue;
-    }
-    ++i;
-    out.push_back(s[i] == 't' ? '\t' : s[i] == 'n' ? '\n' : s[i]);
-  }
-  return out;
-}
-
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> fields;
-  std::string cur;
-  for (char c : line) {
-    if (c == sep) {
-      fields.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  fields.push_back(cur);
-  return fields;
-}
-
-std::string join_list(const std::vector<std::string>& v) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) out += (i ? "," : "") + v[i];
-  return out;
-}
-
-std::vector<std::string> split_list(const std::string& s) {
-  if (s.empty()) return {};
-  return split(s, ',');
-}
-
-bool parse_int(const std::string& s, int* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_u64_hex(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end == s.c_str() + s.size();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
-
-std::uint64_t fnv1a64(const std::string& data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 SuppressionSummary collect_suppressions(const LexedFile& file, const std::string& rel_path,
                                         std::vector<Finding>* bad_annotations) {
@@ -497,7 +409,7 @@ FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
   out.rel_path = rel_path;
 
   // Per-file findings for every rule: selection and suppression are config,
-  // applied at assembly time so cached summaries stay config-independent.
+  // applied at assembly time so summaries stay config-independent.
   run_rules(file, rel_path, /*enabled=*/{}, out.local_findings, now, rule_seconds);
   std::vector<Finding> bad;
   out.suppressions = collect_suppressions(file, rel_path, &bad);
@@ -537,139 +449,6 @@ FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
     out.functions.push_back(std::move(fs));
   }
   return out;
-}
-
-std::string serialize_summary(const FileSummary& s) {
-  std::ostringstream os;
-  os << "hcs-lint-summary " << kSummaryFormatVersion << "\n";
-  os << "path\t" << s.rel_path << "\n";
-  os << "hash\t" << std::hex << s.source_hash << std::dec << "\n";
-  if (!s.suppressions.whole_file.empty()) {
-    os << "sup-file\t"
-       << join_list({s.suppressions.whole_file.begin(), s.suppressions.whole_file.end()}) << "\n";
-  }
-  for (const auto& [line, rules] : s.suppressions.by_line) {
-    os << "sup-line\t" << line << "\t" << join_list({rules.begin(), rules.end()}) << "\n";
-  }
-  for (const Finding& f : s.local_findings) {
-    os << "finding\t" << f.rule << "\t" << static_cast<int>(f.severity) << "\t" << f.line << "\t"
-       << f.col << "\t" << escape(f.message) << "\n";
-  }
-  for (const FunctionSummary& fn : s.functions) {
-    os << "func\t" << fn.name << "\t" << fn.qualifier << "\t" << fn.line << "\t"
-       << (fn.returns_sync_result ? 1 : 0) << "\n";
-    for (const std::string& c : fn.direct_colls) os << "coll\t" << c << "\n";
-    for (const CallSite& c : fn.calls) {
-      os << "call\t" << c.name << "\t" << (c.method ? 1 : 0) << "\t" << c.line << "\t" << c.col
-         << "\t" << static_cast<int>(c.use) << "\n";
-    }
-    for (const HazardSite& h : fn.hazards) {
-      os << "hazard\t" << static_cast<int>(h.kind) << "\t" << h.line << "\t" << h.col << "\t"
-         << h.detail << "\n";
-    }
-    for (const RankBranchSummary& rb : fn.rank_branches) {
-      os << "branch\t" << rb.line << "\t" << rb.col << "\t" << (rb.exit_then ? 1 : 0) << "\t"
-         << (rb.exit_else ? 1 : 0) << "\t" << join_list(rb.then_colls) << "\t"
-         << join_list(rb.else_colls) << "\t" << join_list(rb.after_colls) << "\t"
-         << join_list(rb.then_calls) << "\t" << join_list(rb.else_calls) << "\t"
-         << join_list(rb.after_calls) << "\n";
-    }
-  }
-  os << "end\n";
-  return os.str();
-}
-
-bool parse_summary(const std::string& text, FileSummary* out) {
-  *out = FileSummary{};
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) ||
-      line != "hcs-lint-summary " + std::to_string(kSummaryFormatVersion)) {
-    return false;
-  }
-  FunctionSummary* fn = nullptr;
-  bool saw_end = false;
-  while (std::getline(is, line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    const std::vector<std::string> f = split(line, '\t');
-    const std::string& tag = f[0];
-    if (tag == "path" && f.size() == 2) {
-      out->rel_path = f[1];
-    } else if (tag == "hash" && f.size() == 2) {
-      if (!parse_u64_hex(f[1], &out->source_hash)) return false;
-    } else if (tag == "sup-file" && f.size() == 2) {
-      for (const std::string& r : split_list(f[1])) out->suppressions.whole_file.insert(r);
-    } else if (tag == "sup-line" && f.size() == 3) {
-      int ln = 0;
-      if (!parse_int(f[1], &ln)) return false;
-      for (const std::string& r : split_list(f[2])) out->suppressions.by_line[ln].insert(r);
-    } else if (tag == "finding" && f.size() == 6) {
-      Finding fd;
-      fd.rule = f[1];
-      int sev = 0;
-      if (!parse_int(f[2], &sev) || !parse_int(f[3], &fd.line) || !parse_int(f[4], &fd.col)) {
-        return false;
-      }
-      fd.severity = sev ? Severity::kError : Severity::kWarning;
-      fd.path = out->rel_path;
-      fd.message = unescape(f[5]);
-      out->local_findings.push_back(std::move(fd));
-    } else if (tag == "func" && f.size() == 5) {
-      FunctionSummary fs;
-      fs.name = f[1];
-      fs.qualifier = f[2];
-      int rsr = 0;
-      if (!parse_int(f[3], &fs.line) || !parse_int(f[4], &rsr)) return false;
-      fs.returns_sync_result = rsr != 0;
-      out->functions.push_back(std::move(fs));
-      fn = &out->functions.back();
-    } else if (tag == "coll" && f.size() == 2 && fn) {
-      fn->direct_colls.push_back(f[1]);
-    } else if (tag == "call" && f.size() == 6 && fn) {
-      CallSite cs;
-      cs.name = f[1];
-      int method = 0, use = 0;
-      if (!parse_int(f[2], &method) || !parse_int(f[3], &cs.line) || !parse_int(f[4], &cs.col) ||
-          !parse_int(f[5], &use) || use < 0 || use > 3) {
-        return false;
-      }
-      cs.method = method != 0;
-      cs.use = static_cast<ResultUse>(use);
-      fn->calls.push_back(std::move(cs));
-    } else if (tag == "hazard" && f.size() == 5 && fn) {
-      HazardSite h;
-      int kind = 0;
-      if (!parse_int(f[1], &kind) || kind < 0 || kind > 2 || !parse_int(f[2], &h.line) ||
-          !parse_int(f[3], &h.col)) {
-        return false;
-      }
-      h.kind = static_cast<HazardKind>(kind);
-      h.detail = f[4];
-      fn->hazards.push_back(std::move(h));
-    } else if (tag == "branch" && f.size() == 11 && fn) {
-      RankBranchSummary rb;
-      int et = 0, ee = 0;
-      if (!parse_int(f[1], &rb.line) || !parse_int(f[2], &rb.col) || !parse_int(f[3], &et) ||
-          !parse_int(f[4], &ee)) {
-        return false;
-      }
-      rb.exit_then = et != 0;
-      rb.exit_else = ee != 0;
-      rb.then_colls = split_list(f[5]);
-      rb.else_colls = split_list(f[6]);
-      rb.after_colls = split_list(f[7]);
-      rb.then_calls = split_list(f[8]);
-      rb.else_calls = split_list(f[9]);
-      rb.after_calls = split_list(f[10]);
-      fn->rank_branches.push_back(std::move(rb));
-    } else {
-      return false;
-    }
-  }
-  return saw_end;
 }
 
 }  // namespace hcs::lint

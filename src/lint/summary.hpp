@@ -5,13 +5,10 @@
 // call sites, the collectives it performs directly, the determinism/shard
 // hazard sites it contains, the shape of its rank-dependent branches, the
 // per-file findings (all rules, pre-filter) and the suppression tables.
-// Summaries are config-independent — rule selection and baselines are applied
-// later — so they can be serialized into the incremental cache
-// (`hcs_lint --cache <dir>`) keyed on the file's content hash and reused
-// verbatim while the file is unchanged.
+// Summaries are config-independent: rule selection, suppression and baselines
+// are applied later, by the analyzer.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -23,24 +20,20 @@
 
 namespace hcs::lint {
 
-// Bump when the summary shape or extraction semantics change: stale cache
-// entries then miss instead of feeding the project phase outdated facts.
-inline constexpr int kSummaryFormatVersion = 1;
-
 enum class HazardKind {
-  kWallClock = 0,   // chrono clocks, gettimeofday, clock_gettime
-  kRawRandom = 1,   // random_device, rand/srand, unseeded engines
-  kShardState = 2,  // shard-context writes, World::sim() reads
+  kWallClock,   // chrono clocks, gettimeofday, clock_gettime
+  kRawRandom,   // random_device, rand/srand, unseeded engines
+  kShardState,  // shard-context writes, World::sim() reads
 };
 
 // How a call site treats the value the callee returns.  Only meaningful once
 // the project phase knows the callee returns SyncResult; classified for every
 // call at extraction time because the summary cannot see other files.
 enum class ResultUse {
-  kDiscarded = 0,       // bare `co_await f(...);` — value dropped entirely
-  kConverted = 1,       // bound via the implicit ClockPtr conversion (or .clock)
-  kBoundUnchecked = 2,  // bound to auto/SyncResult but .report never consulted
-  kConsumed = 3,        // returned, escaped, or .report read — caller's business
+  kDiscarded,       // bare `co_await f(...);` — value dropped entirely
+  kConverted,       // bound via the implicit ClockPtr conversion (or .clock)
+  kBoundUnchecked,  // bound to auto/SyncResult but .report never consulted
+  kConsumed,        // returned, escaped, or .report read — caller's business
 };
 
 struct CallSite {
@@ -89,15 +82,12 @@ struct SuppressionSummary {
 
 struct FileSummary {
   std::string rel_path;
-  std::uint64_t source_hash = 0;
   std::vector<FunctionSummary> functions;
   // Findings from every per-file rule plus bad-suppression diagnostics,
   // before rule selection and suppression filtering (both are config).
   std::vector<Finding> local_findings;
   SuppressionSummary suppressions;
 };
-
-std::uint64_t fnv1a64(const std::string& data);
 
 // Parses the hcs-lint suppression comments out of a lexed file.  Unknown rule
 // names and malformed forms are reported into `bad_annotations` when
@@ -114,11 +104,5 @@ bool is_suppressed(const SuppressionSummary& sup, const Finding& f);
 FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
                           const std::function<double()>& now = {},
                           std::map<std::string, double>* rule_seconds = nullptr);
-
-// Line-oriented text round-trip for the incremental cache.  parse_summary
-// returns false (leaving *out unspecified) on a version or shape mismatch, so
-// callers fall back to re-lexing.
-std::string serialize_summary(const FileSummary& summary);
-bool parse_summary(const std::string& text, FileSummary* out);
 
 }  // namespace hcs::lint

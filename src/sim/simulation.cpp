@@ -56,8 +56,6 @@ Simulation::RootFrame run_root(Simulation& sim, Task<void>&& task) {
 }
 }  // namespace
 
-Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
-
 Simulation::~Simulation() {
   queue_.clear();
   // Destroy any processes that never finished; this recursively destroys

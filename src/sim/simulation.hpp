@@ -3,7 +3,8 @@
 // Processes are Task<void> coroutines spawned before (or during) run().  A
 // process advances virtual time only by awaiting `delay()` or operations
 // built on it; run() drains the event queue until no events remain or an
-// event budget is exceeded.  Everything is deterministic for a fixed seed.
+// event budget is exceeded.  The scheduler draws no randomness: a run is a
+// pure function of what its processes do.
 #pragma once
 
 #include <coroutine>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/rng.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -21,13 +21,12 @@ namespace hcs::sim {
 
 class Simulation {
  public:
-  explicit Simulation(std::uint64_t seed = 1);
+  Simulation() = default;
   ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   Time now() const noexcept { return now_; }
-  Rng& rng() noexcept { return rng_; }
 
   /// Schedules `handle` to resume at absolute time `t` (>= now()).  Inline:
   /// together with EventQueue::push this is the schedule half of the
@@ -97,7 +96,6 @@ class Simulation {
  private:
   Time now_ = 0.0;
   EventQueue queue_;
-  Rng rng_;
   std::uint64_t events_processed_ = 0;
   std::size_t spawned_ = 0;
   std::size_t finished_ = 0;

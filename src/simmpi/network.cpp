@@ -11,7 +11,6 @@ NetworkModel::NetworkModel(const topology::ClusterTopology& topo,
                            const topology::NetworkParams& params, std::uint64_t seed)
     : topo_(&topo),
       params_(params),
-      rng_(seed),
       channels_(seed ^ 0x6a09e667f3bcc909ULL, topo.total_ranks()),
       egress_free_(static_cast<std::size_t>(topo.nodes()), 0.0),
       ingress_free_(static_cast<std::size_t>(topo.nodes()), 0.0) {
@@ -67,10 +66,6 @@ const topology::LinkParams& NetworkModel::link(LinkLevel level) const {
   return params_.inter_node;
 }
 
-sim::Time NetworkModel::sample_delay(LinkLevel level, std::int64_t bytes) {
-  return sample_delay(level, bytes, rng_);
-}
-
 sim::Time NetworkModel::sample_delay(LinkLevel level, std::int64_t bytes, sim::Rng& rng) {
   const topology::LinkParams& lp = link(level);
   sim::Time d = lp.base_latency + lp.per_byte * static_cast<double>(bytes);
@@ -103,34 +98,6 @@ double NetworkModel::retransmit_timeout(LinkLevel level, std::int64_t bytes) con
   return 6.0 * expected_delay(level, bytes) + 2.0 * (params_.send_overhead + params_.recv_overhead);
 }
 
-sim::Time NetworkModel::deliver_attempt(LinkLevel level, int src_rank, int dst_rank,
-                                        std::int64_t bytes, sim::Time depart_ready,
-                                        const fault::NetFaultDecision* decision) {
-  const double factor = decision ? decision->delay_factor : 1.0;
-  const double extra = decision ? decision->extra_delay : 0.0;
-  const bool dropped = decision && decision->drop;
-  sim::Rng& rng = channel_rng(src_rank, dst_rank);
-  if (level != LinkLevel::kInterNode) {
-    const sim::Time d = sample_delay(level, bytes, rng) * factor + extra;
-    if (!dropped) count_delivery(level, bytes, d);
-    return depart_ready + d;
-  }
-  const auto src_node = static_cast<std::size_t>(topo_->locate(src_rank).node);
-  const auto dst_node = static_cast<std::size_t>(topo_->locate(dst_rank).node);
-  const double nic_busy = params_.nic_gap + params_.nic_per_byte * static_cast<double>(bytes);
-  const sim::Time depart = std::max(depart_ready, egress_free_[src_node]);
-  egress_free_[src_node] = depart + nic_busy;
-  sim::Time arrive = depart + sample_delay(level, bytes, rng) * factor + extra;
-  // A message lost in the fabric consumed egress bandwidth but never reaches
-  // the destination NIC.
-  if (dropped) return arrive;
-  arrive = std::max(arrive, ingress_free_[dst_node]);
-  ingress_free_[dst_node] = arrive + nic_busy;
-  // The observed delay includes NIC queueing: hand-off to arrival.
-  count_delivery(level, bytes, arrive - depart_ready);
-  return arrive;
-}
-
 sim::Time NetworkModel::egress_to_wire(int src_rank, int dst_rank, std::int64_t bytes,
                                        sim::Time depart_ready,
                                        const fault::NetFaultDecision* decision) {
@@ -154,60 +121,58 @@ sim::Time NetworkModel::ingress_admit(int dst_rank, std::int64_t bytes, sim::Tim
   return arrive;
 }
 
-sim::Time NetworkModel::transit_time(int src_rank, int dst_rank, std::int64_t bytes,
-                                     sim::Time depart_ready, DeliveryFaults* faults) {
-  if (!faults || !injector_ || !injector_->net_active()) {
-    return egress_to_wire(src_rank, dst_rank, bytes, depart_ready, nullptr);
-  }
-  const double rto = retransmit_timeout(LinkLevel::kInterNode, bytes);
+template <class Attempt>
+sim::Time NetworkModel::retransmit(LinkLevel level, int src_rank, int dst_rank,
+                                   std::int64_t bytes, sim::Time depart_ready,
+                                   DeliveryFaults* faults, Attempt attempt) {
+  if (!faults || !injector_ || !injector_->net_active()) return attempt(depart_ready, nullptr);
+  const double rto = retransmit_timeout(level, bytes);
   const fault::FaultChannel channel = injector_->channel(src_rank, dst_rank);
   sim::Time ready = depart_ready;
-  for (int attempt = 0;; ++attempt) {
-    fault::NetFaultDecision fd =
-        injector_->on_message(channel, static_cast<int>(LinkLevel::kInterNode), ready);
-    if (attempt >= kMaxRetransmits) fd.drop = false;
-    const sim::Time port = egress_to_wire(src_rank, dst_rank, bytes, ready, &fd);
+  for (int n = 0;; ++n) {
+    fault::NetFaultDecision fd = injector_->on_message(channel, static_cast<int>(level), ready);
+    // The last permitted attempt always goes through: the reliable transport
+    // may degrade timing arbitrarily but never loses a message outright.
+    if (n >= kMaxRetransmits) fd.drop = false;
+    const sim::Time t = attempt(ready, &fd);
     if (!fd.drop) {
-      faults->retransmits = attempt;
+      faults->retransmits = n;
       faults->duplicate = fd.duplicate;
-      if (attempt > 0) {
+      if (n > 0) {
         trace::Counter* m =
             shard_metrics_[static_cast<std::size_t>(sim::current_shard())].retransmits;
-        if (m) m->inc(static_cast<std::uint64_t>(attempt));
+        if (m) m->inc(static_cast<std::uint64_t>(n));
       }
-      return port;
+      return t;
     }
     ready += rto;
   }
 }
 
+sim::Time NetworkModel::transit_time(int src_rank, int dst_rank, std::int64_t bytes,
+                                     sim::Time depart_ready, DeliveryFaults* faults) {
+  return retransmit(LinkLevel::kInterNode, src_rank, dst_rank, bytes, depart_ready, faults,
+                    [&](sim::Time ready, const fault::NetFaultDecision* fd) {
+                      return egress_to_wire(src_rank, dst_rank, bytes, ready, fd);
+                    });
+}
+
 sim::Time NetworkModel::deliver_time(int src_rank, int dst_rank, std::int64_t bytes,
                                      sim::Time depart_ready, DeliveryFaults* faults) {
   const LinkLevel level = classify(src_rank, dst_rank);
-  if (!faults || !injector_ || !injector_->net_active()) {
-    return deliver_attempt(level, src_rank, dst_rank, bytes, depart_ready, nullptr);
+  if (level == LinkLevel::kInterNode) {
+    const sim::Time port = transit_time(src_rank, dst_rank, bytes, depart_ready, faults);
+    return ingress_admit(dst_rank, bytes, port, depart_ready);
   }
-  const double rto = retransmit_timeout(level, bytes);
-  const fault::FaultChannel channel = injector_->channel(src_rank, dst_rank);
-  sim::Time ready = depart_ready;
-  for (int attempt = 0;; ++attempt) {
-    fault::NetFaultDecision fd = injector_->on_message(channel, static_cast<int>(level), ready);
-    // The last permitted attempt always goes through: the reliable transport
-    // may degrade timing arbitrarily but never loses a message outright.
-    if (attempt >= kMaxRetransmits) fd.drop = false;
-    const sim::Time arrive = deliver_attempt(level, src_rank, dst_rank, bytes, ready, &fd);
-    if (!fd.drop) {
-      faults->retransmits = attempt;
-      faults->duplicate = fd.duplicate;
-      if (attempt > 0) {
-        trace::Counter* m =
-            shard_metrics_[static_cast<std::size_t>(sim::current_shard())].retransmits;
-        if (m) m->inc(static_cast<std::uint64_t>(attempt));
-      }
-      return arrive;
-    }
-    ready += rto;
-  }
+  sim::Rng& rng = channel_rng(src_rank, dst_rank);
+  return retransmit(level, src_rank, dst_rank, bytes, depart_ready, faults,
+                    [&](sim::Time ready, const fault::NetFaultDecision* fd) {
+                      const double factor = fd ? fd->delay_factor : 1.0;
+                      const double extra = fd ? fd->extra_delay : 0.0;
+                      const sim::Time d = sample_delay(level, bytes, rng) * factor + extra;
+                      if (!fd || !fd->drop) count_delivery(level, bytes, d);
+                      return ready + d;
+                    });
 }
 
 sim::Time NetworkModel::deliver_time_uncontended(const Route& route, std::int64_t bytes,

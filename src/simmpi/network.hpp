@@ -57,11 +57,7 @@ class NetworkModel {
   const topology::LinkParams& link(LinkLevel level) const;
 
   /// Samples the one-way wire delay (no NIC queueing, no CPU overheads)
-  /// from the model's own stream.  Standalone/test entry point; the World
-  /// paths all draw from per-channel streams instead.
-  sim::Time sample_delay(LinkLevel level, std::int64_t bytes);
-
-  /// As above but drawing from the caller-supplied stream.
+  /// from the caller-supplied stream.
   sim::Time sample_delay(LinkLevel level, std::int64_t bytes, sim::Rng& rng);
 
   /// The (src_rank -> dst_rank) channel's private delay stream, created on
@@ -84,11 +80,12 @@ class NetworkModel {
   Route route(int src_rank, int dst_rank);
 
   /// Full path: earliest arrival of a message handed to the network at
-  /// `depart_ready`, including NIC egress/ingress serialization for
-  /// inter-node traffic.  Mutates NIC state.  When `faults` is non-null and
-  /// a fault injector is active, drops are absorbed by retransmission and
-  /// the summary is written to *faults; a null `faults` delivers
-  /// fault-blind (used for the second copy of a duplicated message).
+  /// `depart_ready`.  Inter-node traffic runs transit_time then
+  /// ingress_admit, the split path the World drives, so it mutates NIC
+  /// state.  When `faults` is non-null and a fault injector is active, drops
+  /// are absorbed by retransmission and the summary is written to *faults; a
+  /// null `faults` delivers fault-blind (used for the second copy of a
+  /// duplicated message).
   sim::Time deliver_time(int src_rank, int dst_rank, std::int64_t bytes, sim::Time depart_ready,
                          DeliveryFaults* faults = nullptr);
 
@@ -170,14 +167,15 @@ class NetworkModel {
   static ShardMetrics resolve_metrics(trace::MetricsRegistry* registry);
   void count_delivery(LinkLevel level, std::int64_t bytes, sim::Time delay);
 
-  /// One delivery attempt; `decision` (nullable) scales/extends the sampled
-  /// delay and, on drop, skips ingress occupancy and delivery accounting.
-  sim::Time deliver_attempt(LinkLevel level, int src_rank, int dst_rank, std::int64_t bytes,
-                            sim::Time depart_ready, const fault::NetFaultDecision* decision);
+  /// The reliable path's bounded retransmission loop, shared by deliver_time
+  /// and transit_time.  `attempt(ready, decision)` makes one attempt handed
+  /// over at `ready`; `decision` is null on the fault-blind path.
+  template <class Attempt>
+  sim::Time retransmit(LinkLevel level, int src_rank, int dst_rank, std::int64_t bytes,
+                       sim::Time depart_ready, DeliveryFaults* faults, Attempt attempt);
 
   const topology::ClusterTopology* topo_;
   topology::NetworkParams params_;
-  sim::Rng rng_;                   // standalone sample_delay() only
   sim::ChannelStreams channels_;  // per (src_rank -> dst_rank) delay stream
   std::vector<sim::Time> egress_free_;   // per node; sender-shard state
   std::vector<sim::Time> ingress_free_;  // per node; receiver-side state

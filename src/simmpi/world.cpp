@@ -86,15 +86,8 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
         static_cast<int>((static_cast<std::int64_t>(n) * nshards_) / nodes);
   }
 
-  // Shard 0 keeps the World seed itself so --shards 1 reproduces the
-  // engine's historical ctx.sim().rng() streams; the rest chain off it.
-  // (ctx.sim().rng() draws are the one non-invariant under resharding —
-  // simulation results never consume them; see docs/parallel-simulation.md.)
   sims_.reserve(static_cast<std::size_t>(nshards_));
-  std::uint64_t shard_sm = seed ^ 0x2545f4914f6cdd1dULL;
-  for (int s = 0; s < nshards_; ++s) {
-    sims_.push_back(std::make_unique<sim::Simulation>(s == 0 ? seed : sim::splitmix64(shard_sm)));
-  }
+  for (int s = 0; s < nshards_; ++s) sims_.push_back(std::make_unique<sim::Simulation>());
   shard_states_.resize(static_cast<std::size_t>(nshards_));
   open_bursts_.resize(static_cast<std::size_t>(size()));
 

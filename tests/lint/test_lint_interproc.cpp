@@ -1,6 +1,6 @@
 // Whole-program (phase 2) tests: the per-rule multi-file fixture sets under
 // fixtures/ip/<rule>/{bad,good}/, the ProjectIndex resolution contract, the
-// call-depth bound, the incremental summary cache and the SARIF export.
+// call-depth bound and the SARIF export.
 //
 // Every fixture file's first line is a virtual-path directive
 //   // hcs-lint-path: <rel path>
@@ -242,10 +242,12 @@ TEST(InterprocDepth, MaxCallDepthBoundsThePropagation) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental summary cache
+// SARIF
 // ---------------------------------------------------------------------------
 
-Sources cache_project() {
+// One justified rand() in a helper and an unsuppressed caller: exactly one
+// ip-raw-random finding.
+Sources raw_random_project() {
   return {
       {"src/clocksync/helper.cpp",
        "int host_entropy() {\n"
@@ -256,82 +258,9 @@ Sources cache_project() {
   };
 }
 
-TEST(LintCache, WarmRunIsByteIdenticalAndSkipsLexing) {
-  AnalyzerOptions opts;
-  opts.cache_dir = (fs::path(::testing::TempDir()) / "hcs_lint_cache_warm").string();
-  fs::remove_all(opts.cache_dir);
-
-  const AnalysisResult cold = analyze_sources(cache_project(), opts);
-  EXPECT_EQ(cold.stats.files, 3);
-  EXPECT_EQ(cold.stats.files_lexed, 3);
-  EXPECT_EQ(cold.stats.cache_hits, 0);
-  ASSERT_EQ(cold.findings.size(), 1u);
-  EXPECT_EQ(cold.findings[0].rule, "ip-raw-random");
-
-  const AnalysisResult warm = analyze_sources(cache_project(), opts);
-  EXPECT_EQ(warm.stats.files_lexed, 0) << "unchanged files must come from the cache";
-  EXPECT_EQ(warm.stats.cache_hits, 3);
-  EXPECT_EQ(warm.findings, cold.findings) << "cached findings must be byte-identical";
-  EXPECT_EQ(warm.lines, cold.lines);
-}
-
-TEST(LintCache, OnlyChangedFilesAreRelexed) {
-  AnalyzerOptions opts;
-  opts.cache_dir = (fs::path(::testing::TempDir()) / "hcs_lint_cache_changed").string();
-  fs::remove_all(opts.cache_dir);
-
-  const AnalysisResult cold = analyze_sources(cache_project(), opts);
-  ASSERT_EQ(cold.findings.size(), 1u);
-
-  Sources edited = cache_project();
-  edited[1].second =
-      "int sample() {\n"
-      "  return host_entropy();  // hcs-lint: allow(ip-raw-random) fixture: justified\n"
-      "}\n";
-  const AnalysisResult warm = analyze_sources(edited, opts);
-  EXPECT_EQ(warm.stats.files_lexed, 1) << "only the edited file is re-lexed";
-  EXPECT_EQ(warm.stats.cache_hits, 2);
-  EXPECT_TRUE(warm.findings.empty()) << "the new suppression must take effect";
-}
-
-TEST(LintCache, CorruptCacheEntryFallsBackToLexing) {
-  AnalyzerOptions opts;
-  opts.cache_dir = (fs::path(::testing::TempDir()) / "hcs_lint_cache_corrupt").string();
-  fs::remove_all(opts.cache_dir);
-
-  const AnalysisResult cold = analyze_sources(cache_project(), opts);
-  std::vector<fs::path> entries;
-  for (const auto& e : fs::directory_iterator(opts.cache_dir)) entries.push_back(e.path());
-  ASSERT_EQ(entries.size(), 3u);
-  std::sort(entries.begin(), entries.end());
-  {
-    std::ofstream out(entries[0], std::ios::binary | std::ios::trunc);
-    out << "hcs-lint-summary 1\ngarbage line\n";
-  }
-
-  const AnalysisResult warm = analyze_sources(cache_project(), opts);
-  EXPECT_EQ(warm.stats.files_lexed, 1) << "the corrupt entry falls back to a fresh summary";
-  EXPECT_EQ(warm.stats.cache_hits, 2);
-  EXPECT_EQ(warm.findings, cold.findings);
-}
-
-TEST(LintSummary, SerializationRoundTrips) {
-  const Sources sources = load_set(kFixtureDir / "ip" / "ip_coll_rank_branch" / "bad");
-  for (const auto& [rel, content] : sources) {
-    const FileSummary s = summarize(rel, content);
-    FileSummary back;
-    ASSERT_TRUE(parse_summary(serialize_summary(s), &back)) << rel;
-    EXPECT_EQ(serialize_summary(back), serialize_summary(s)) << rel;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SARIF
-// ---------------------------------------------------------------------------
-
 TEST(Sarif, ExportIsValidAndCarriesRulesAndResults) {
   AnalyzerOptions opts;
-  const AnalysisResult res = analyze_sources(cache_project(), opts);
+  const AnalysisResult res = analyze_sources(raw_random_project(), opts);
   ASSERT_FALSE(res.findings.empty());
 
   const testsupport::JsonValue doc = testsupport::JsonParser::parse(to_sarif(res.findings));

@@ -38,7 +38,7 @@ TEST(Lookahead, IndependentOfShardCount) {
 }
 
 TEST(RunWindow, ProcessesStrictlyBelowTheBoundary) {
-  sim::Simulation s(1);
+  sim::Simulation s;
   int fired_early = 0, fired_late = 0;
   s.spawn([](sim::Simulation& sim, int& early, int& late) -> sim::Task<void> {
     co_await sim.delay(1.0);
@@ -57,7 +57,7 @@ TEST(RunWindow, ProcessesStrictlyBelowTheBoundary) {
 }
 
 TEST(RunWindow, ParksErrorsForTakeError) {
-  sim::Simulation s(1);
+  sim::Simulation s;
   s.spawn([](sim::Simulation& sim) -> sim::Task<void> {
     co_await sim.delay(1.0);
     throw std::runtime_error("boom");
@@ -71,7 +71,7 @@ TEST(RunWindow, ParksErrorsForTakeError) {
 }
 
 TEST(RunWindow, BudgetGuardCountsLifetimeEvents) {
-  sim::Simulation s(1);
+  sim::Simulation s;
   s.spawn([](sim::Simulation& sim) -> sim::Task<void> {
     for (int i = 0; i < 10; ++i) co_await sim.delay(1.0);
   }(s));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -71,6 +72,12 @@ TEST(FramePool, ChurnDoesNotGrowReservation) {
 // churns its own frames; exiting threads return chains to the arena, so a
 // second generation of threads reuses them instead of carving new slabs.
 TEST(FramePool, ThreadsRecycleThroughTheArena) {
+  // No first-generation thread may exit (and hand its chains back) before
+  // every one of them has finished churning: otherwise a late starter reuses
+  // an early finisher's blocks, the first generation reserves less than four
+  // concurrent threads need, and the baseline depends on thread scheduling.
+  constexpr int kThreads = 4;
+  std::barrier gen1_done(kThreads);
   auto churn = [] {
     std::vector<void*> live;
     live.reserve(256);
@@ -84,11 +91,16 @@ TEST(FramePool, ThreadsRecycleThroughTheArena) {
     for (void* p : live) FramePool::deallocate(p);
   };
   std::vector<std::thread> gen1;
-  for (int i = 0; i < 4; ++i) gen1.emplace_back(churn);
+  for (int i = 0; i < kThreads; ++i) {
+    gen1.emplace_back([&] {
+      churn();
+      gen1_done.arrive_and_wait();
+    });
+  }
   for (auto& t : gen1) t.join();
   const std::size_t after_gen1 = FramePool::reserved_bytes();
   std::vector<std::thread> gen2;
-  for (int i = 0; i < 4; ++i) gen2.emplace_back(churn);
+  for (int i = 0; i < kThreads; ++i) gen2.emplace_back(churn);
   for (auto& t : gen2) t.join();
   EXPECT_EQ(FramePool::reserved_bytes(), after_gen1);
 }

@@ -97,9 +97,10 @@ TEST(World, RandomTrafficSoak) {
       }
     }
     // Fire my sends with random gaps; payload carries a per-flow sequence no.
+    sim::Rng gaps(static_cast<std::uint64_t>(me) + 1);
     std::map<int, int> seq;
     for (int dst : targets[static_cast<std::size_t>(me)]) {
-      co_await ctx.sim().delay(ctx.sim().rng().exponential(2e-6));
+      co_await ctx.sim().delay(gaps.exponential(2e-6));
       co_await comm.send(dst, me, util::vec(static_cast<double>(seq[dst]++)));
     }
     // Drain.
@@ -130,6 +131,7 @@ TEST(World, SoakIsDeterministic) {
     w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
       Comm& comm = ctx.comm_world();
       const int p = comm.size();
+      sim::Rng gaps(static_cast<std::uint64_t>(ctx.rank()) + 1);
       for (int i = 0; i < 40; ++i) {
         const int dist = 1 + i % (p - 1);
         const int right = (ctx.rank() + dist) % p;
@@ -137,7 +139,7 @@ TEST(World, SoakIsDeterministic) {
         RecvRequest req = comm.irecv(left, i);
         co_await comm.send(right, i, util::vec(1.0));
         (void)co_await comm.wait(std::move(req));
-        co_await ctx.sim().delay(ctx.sim().rng().exponential(1e-6));
+        co_await ctx.sim().delay(gaps.exponential(1e-6));
       }
       end = std::max(end, ctx.sim().now());
     });

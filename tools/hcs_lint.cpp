@@ -8,7 +8,6 @@
 //     --baseline FILE        suppress findings recorded in FILE
 //     --write-baseline FILE  record current findings as the new baseline and exit
 //     --rule ID              run only this rule (repeatable)
-//     --cache DIR            incremental summary cache: unchanged files are not re-lexed
 //     --sarif FILE           also write non-baselined findings as SARIF 2.1.0
 //     --stats                print a per-rule findings/runtime table
 //     --max-call-depth N     interprocedural chain bound in call edges (default 4)
@@ -55,8 +54,7 @@ void print_stats(const hcs::lint::AnalysisStats& stats) {
   for (const auto& [id, rs] : stats.rules) {
     std::printf("%-28s %9d %9.2f\n", id.c_str(), rs.findings, rs.seconds * 1e3);
   }
-  std::printf("files: %d (%d lexed, %d from cache)\n", stats.files, stats.files_lexed,
-              stats.cache_hits);
+  std::printf("files: %d\n", stats.files);
   std::printf("phase 1 (summaries): %.1f ms   phase 2 (interproc): %.1f ms   total: %.1f ms\n",
               stats.summary_seconds * 1e3, stats.interproc_seconds * 1e3,
               stats.total_seconds * 1e3);
@@ -68,13 +66,12 @@ int main(int argc, char** argv) {
   using namespace hcs;
   try {
     const util::Cli cli(argc, argv, {"list-rules", "stats"});
-    cli.reject_unknown({"root", "baseline", "write-baseline", "rule", "cache", "sarif", "stats",
+    cli.reject_unknown({"root", "baseline", "write-baseline", "rule", "sarif", "stats",
                         "max-call-depth", "list-rules"});
     if (cli.has("list-rules")) return list_rules();
 
     lint::AnalyzerOptions options;
     options.root = cli.get("root", "");
-    options.cache_dir = cli.get("cache", "");
     options.max_call_depth = static_cast<std::size_t>(cli.get_int("max-call-depth", 4));
     options.now = [] {
       // hcs-lint: allow-next-line(wall-clock) --stats timing shim, host-only by construction
